@@ -60,14 +60,19 @@ CHUNK = 1 << 20
 
 
 def backend_name() -> str:
+    """The backend FRICKE_ORBITS_BACKEND forces, else the fastest installed.
+
+    Raises ValueError, naming the variable, for an unknown value or for
+    numba forced while it is not installed.
+    """
     forced = os.environ.get("FRICKE_ORBITS_BACKEND", "").strip().lower()
-    if forced in ("numba", "numpy"):
-        if forced == "numba" and not HAVE_NUMBA:
-            raise RuntimeError("FRICKE_ORBITS_BACKEND=numba but numba is unavailable")
-        return forced
-    if forced:
-        raise RuntimeError("unknown FRICKE_ORBITS_BACKEND %r" % forced)
-    return "numba" if HAVE_NUMBA else "numpy"
+    if not forced:
+        return "numba" if HAVE_NUMBA else "numpy"
+    if forced not in ("numba", "numpy"):
+        raise ValueError("FRICKE_ORBITS_BACKEND must be numba or numpy, got %r" % forced)
+    if forced == "numba" and not HAVE_NUMBA:
+        raise ValueError("FRICKE_ORBITS_BACKEND=numba but numba is not installed")
+    return forced
 
 
 class ScanTables(NamedTuple):

@@ -602,6 +602,24 @@ def _record_cmp(a: OrbitRecord, b: OrbitRecord) -> int:
     return compare_tuples(a.canonical, b.canonical)
 
 
+def _threads_from_env() -> int:
+    """FRICKE_THREADS as a positive int, else the CPU count.
+
+    Raises ValueError, naming the variable, for anything but a positive
+    integer, as --threads does.
+    """
+    env = os.environ.get("FRICKE_THREADS", "").strip()
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        threads = int(env)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"FRICKE_THREADS must be a positive integer, got {env!r}")
+    return threads
+
+
 def full_search(
     threads: Optional[int] = None,
     eps: float = EPS,
@@ -618,14 +636,13 @@ def full_search(
     """
 
     t0 = time.perf_counter()
-    tables = get_search_tables()
-    kt = tables.kernel
     if backend is None:
         backend = _kernels.backend_name()
     if threads is None:
-        env = os.environ.get("FRICKE_THREADS", "").strip()
-        threads = int(env) if env else (os.cpu_count() or 1)
+        threads = _threads_from_env()
     threads = max(1, int(threads))
+    tables = get_search_tables()
+    kt = tables.kernel
     if 2 * eps >= tables.dicts.min_gap:
         raise ValueError("eps must stay below half the dictionary gap")
 

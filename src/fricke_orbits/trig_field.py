@@ -7,9 +7,25 @@ finite Q-linear combination of terms 2cos(pi*num/den); the product rule
 
 The term basis is NOT linearly independent (2cos(pi/5) - 2cos(2pi/5) = 1), so
 structural comparison is meaningless.  Equality is decided by is_zero, which
-embeds the value into Z[zeta] for a primitive 2L-th root of unity (L = lcm of
-the denominators) and reduces the exponent vector modulo the 2L-th cyclotomic
-polynomial; the normal form there is unique.
+embeds the value into Q(zeta) for a primitive n-th root of unity, n = 2L with
+L the lcm of the denominators, and takes the remainder of the exponent
+polynomial modulo the n-th cyclotomic polynomial Phi_n.  Phi_n is the minimal
+polynomial of zeta, so that remainder (the power-basis normal form) is unique.
+
+The remainder is computed without a dense division by Phi_n:
+
+* Phi_n is built from the primes of n alone: with r = rad(n) the product of
+  the distinct primes and s = n / r, Phi_n(x) = Phi_r(x^s), and a squarefree
+  m*p (p prime, p not dividing m) has Phi_mp(x) = Phi_m(x^p) / Phi_m(x).
+* Because Phi_n only has powers of x^s, the exponents split by residue class
+  j mod s.  Each class is a polynomial in x^s of degree below r, reduced
+  modulo Phi_r; coefficient i of class j is the coefficient of x^(j + s*i).
+  Pieced together this is the remainder modulo Phi_n itself, so the normal
+  form is the same, entry for entry, as a direct division.
+* The classes are reduced together by a numpy row update on scaled integer
+  coefficients.  It runs in int64 while a running bound proves that no
+  intermediate value reaches 2**62, and restarts on exact Python ints
+  (dtype=object) the first time the bound cannot be proved.
 
 Doubles are used as a fast path only: every decision that matters is either
 confirmed exactly or separated by a proven gap.
@@ -22,9 +38,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import mpmath
+import numpy as np
 
 Rational = Union[int, Fraction]
 
@@ -286,46 +303,87 @@ class CyclotomicElement:
     coeffs: Tuple[Fraction, ...]  # length = deg Phi_{2L}
 
 
-def _divisors(n: int) -> Iterable[int]:
+def _primes(n: int) -> Tuple[int, ...]:
+    """The distinct primes of n, ascending."""
     out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return tuple(out)
 
 
-def _poly_divmod_int(num: Sequence[int], den: Sequence[int]) -> Tuple[list, list]:
-    """Long division of integer polynomials, den monic.  Coefficients ascending."""
-    num = list(num)
+# Every intermediate of the int64 division stays below this, so neither a
+# product c*den[j] nor a difference can wrap.
+_INT64_SAFE = 1 << 62
+
+
+def _divmod_rows(rows: Sequence[Sequence[int]], den: Sequence[int]):
+    """Divide each integer row (coefficients ascending) by the monic den.
+
+    Returns (quotients, remainders) as 2-D arrays, one row per input row; a
+    remainder row has len(den) - 1 entries.  All rows are updated at once by
+    num[:, i-dn:i+1] -= c*den, in int64 while the running bound
+    max|num| + sum_i max|c_i| * max|den| proves that no entry can reach
+    2**62.  The first time it cannot, the division restarts on exact Python
+    ints (dtype=object); both runs give the same integers.
+    """
     dn = len(den) - 1
-    if len(num) - 1 < dn:
-        return [], num
-    quot = [0] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c:
-            quot[i - dn] = c
-            for j in range(dn + 1):
-                num[i - dn + j] -= c * den[j]
-    while num and num[-1] == 0:
-        num.pop()
-    return quot, num
+    size = len(rows[0])
+    big = max(abs(x) for x in den)
+    start = max(max(map(abs, row)) for row in rows)
+    dtype = np.int64 if start < _INT64_SAFE else object
+    while True:
+        num = np.array(rows, dtype=dtype)
+        d = np.array(den, dtype=dtype)
+        quot = np.zeros((len(rows), max(size - dn, 0)), dtype=dtype)
+        bound = start
+        for i in range(size - 1, dn - 1, -1):
+            c = num[:, i]
+            top = max(map(abs, c.tolist()))
+            if not top:
+                continue
+            bound += top * big
+            if dtype is np.int64 and bound >= _INT64_SAFE:
+                dtype = object
+                break
+            quot[:, i - dn] = c
+            num[:, i - dn:i + 1] -= np.multiply.outer(c, d)
+        else:
+            return quot, num[:, :dn]
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> Tuple[int, ...]:
-    """Coefficients (ascending, monic, integer) of the n-th cyclotomic polynomial,
-    obtained by dividing x^n - 1 by all lower-order cyclotomic factors."""
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in _divisors(n):
-        if d < n:
-            poly, rem = _poly_divmod_int(poly, list(cyclotomic_poly(d)))
-            assert not rem
-    return tuple(poly)
+    """Coefficients (ascending, monic, integer) of the n-th cyclotomic polynomial.
+
+    With r = rad(n) the product of the distinct primes of n and s = n / r,
+    Phi_n(x) = Phi_r(x^s); a squarefree n = m*p, p its largest prime, gives
+    Phi_n(x) = Phi_m(x^p) / Phi_m(x).  Only the prefixes of n's prime list
+    are built, not every divisor.
+    """
+    primes = _primes(n)
+    if not primes:
+        return (-1, 1)
+    r = math.prod(primes)
+    if r != n:
+        return tuple(_stretch(cyclotomic_poly(r), n // r))
+    base = cyclotomic_poly(n // primes[-1])
+    quot, rem = _divmod_rows([_stretch(base, primes[-1])], base)
+    assert not rem.any()
+    return tuple(quot[0].tolist())
+
+
+def _stretch(poly: Sequence[int], s: int) -> list:
+    """Coefficients of poly(x^s)."""
+    out = [0] * (s * (len(poly) - 1) + 1)
+    out[::s] = poly
+    return out
 
 
 def _lcm(a: int, b: int) -> int:
@@ -333,27 +391,39 @@ def _lcm(a: int, b: int) -> int:
 
 
 def to_cyclotomic(a: CosSum) -> CyclotomicElement:
-    """Embed at level L = lcm of denominators and reduce mod Phi_{2L}."""
+    """Embed at level L = lcm of denominators and reduce mod Phi_{2L}.
+
+    Each term c*2cos(pi*k/L) adds c at exponents k and -k modulo n = 2L.
+    With r = rad(n) and s = n / r, Phi_n(x) = Phi_r(x^s), so the exponents
+    split by residue class j mod s: class j holds the polynomial g_j with
+    f(x) = sum_j x^j g_j(x^s).  Each g_j (length r) is reduced modulo Phi_r,
+    and coefficient i of class j lands at power j + s*i.  The result has
+    degree below s*phi(r) = deg Phi_n and differs from f by a multiple of
+    Phi_n, so it is the unique remainder of f modulo Phi_n: the same normal
+    form as a dense division by Phi_n, entry for entry.
+    """
     if not a.terms:
         return CyclotomicElement(1, (Fraction(0),))
     level = 1
     for (_, den), _ in a.terms:
         level = _lcm(level, den)
     n = 2 * level
-    vec = [Fraction(0)] * n
+    exps: Dict[int, Fraction] = {}
     for (num, den), c in a.terms:
         k = num * (level // den)
-        vec[k % n] += c
-        vec[(n - k) % n] += c
+        for e in (k % n, -k % n):
+            exps[e] = exps[e] + c if e in exps else c
     common = 1
-    for c in vec:
+    for c in exps.values():
         common = _lcm(common, c.denominator)
-    ivec = [int(c * common) for c in vec]
-    phi = list(cyclotomic_poly(n))
-    _, rem = _poly_divmod_int(ivec, phi)
-    deg = len(phi) - 1
-    rem += [0] * (deg - len(rem))
-    return CyclotomicElement(level, tuple(Fraction(r, common) for r in rem))
+    r = math.prod(_primes(n))
+    s = n // r
+    rows = [[0] * r for _ in range(s)]
+    for e, c in exps.items():
+        rows[e % s][e // s] = c.numerator * (common // c.denominator)
+    _, rem = _divmod_rows(rows, cyclotomic_poly(r))
+    return CyclotomicElement(
+        level, tuple(Fraction(x, common) for x in rem.T.reshape(-1).tolist()))
 
 
 def _symmetrize(coeffs: Sequence[Fraction], level: int) -> CosSum:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fricke_orbits import _kernels
 from fricke_orbits.cli import (
     RunConfig,
     cmd_graph,
@@ -89,6 +90,28 @@ def test_runconfig_rejects_wide_eps():
 def test_main_maps_config_error_to_exit_2(capsys):
     assert main(["search", "--eps", "0.5"]) == 2
     assert "eps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, value", [
+    ("FRICKE_ORBITS_BACKEND", "bogus"),
+    ("FRICKE_THREADS", "abc"),
+    ("FRICKE_THREADS", "0"),
+    ("FRICKE_THREADS", "-3"),
+])
+def test_main_maps_malformed_environment_to_exit_2(monkeypatch, capsys, name, value):
+    monkeypatch.setenv(name, value)
+    assert main(["search"]) == 2
+    captured = capsys.readouterr()
+    assert name in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.skipif(_kernels.HAVE_NUMBA, reason="numba is installed")
+def test_main_maps_forced_missing_numba_to_exit_2(monkeypatch, capsys):
+    monkeypatch.setenv("FRICKE_ORBITS_BACKEND", "numba")
+    assert main(["search"]) == 2
+    err = capsys.readouterr().err
+    assert "FRICKE_ORBITS_BACKEND" in err and "Traceback" not in err
 
 
 def test_main_usage_error_exits_2():

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from fricke_orbits import trig_field
 from fricke_orbits.trig_field import (
     CosSum,
     RationalAngle,
@@ -223,6 +225,126 @@ def test_cyclotomic_polys():
     assert cyclotomic_poly(105)[7] == -2 and len(cyclotomic_poly(105)) == 49
 
 
+# ---------------------------------------------------------------------------
+# the normal form against the direct method: Phi_n by dividing x^n - 1 by
+# every lower cyclotomic factor, and a dense long division of the length-2L
+# exponent vector by Phi_{2L} in Python ints.
+# ---------------------------------------------------------------------------
+
+
+def _ref_divmod(num, den):
+    num = list(num)
+    dn = len(den) - 1
+    if len(num) - 1 < dn:
+        return [], num
+    quot = [0] * (len(num) - dn)
+    for i in range(len(num) - 1, dn - 1, -1):
+        c = num[i]
+        if c:
+            quot[i - dn] = c
+            for j in range(dn + 1):
+                num[i - dn + j] -= c * den[j]
+    while num and num[-1] == 0:
+        num.pop()
+    return quot, num
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_cyclotomic_poly(n):
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            poly, rem = _ref_divmod(poly, list(_ref_cyclotomic_poly(d)))
+            assert not rem
+    return tuple(poly)
+
+
+def _ref_to_cyclotomic(a):
+    if not a.terms:
+        return 1, (Fraction(0),)
+    level = 1
+    for (_, den), _ in a.terms:
+        level = level * den // math.gcd(level, den)
+    n = 2 * level
+    vec = [Fraction(0)] * n
+    for (num, den), c in a.terms:
+        k = num * (level // den)
+        vec[k % n] += c
+        vec[(n - k) % n] += c
+    common = 1
+    for c in vec:
+        common = common * c.denominator // math.gcd(common, c.denominator)
+    phi = list(_ref_cyclotomic_poly(n))
+    _, rem = _ref_divmod([int(c * common) for c in vec], phi)
+    rem += [0] * (len(phi) - 1 - len(rem))
+    return level, tuple(Fraction(r, common) for r in rem)
+
+
+def _mobius_cyclotomic_poly(n):
+    """Phi_n = prod_{d | n} (1 - x^d)^mu(n/d) for n > 1, as a power series
+    truncated past its degree: independent of both builders."""
+    deg = _totient(n)
+    out = [1] + [0] * deg
+    divs = [d for d in range(1, n + 1) if n % d == 0]
+    for d in divs:  # multiply by (1 - x^d) first, so every division is exact
+        if _mobius(n // d) == 1:
+            for k in range(deg, d - 1, -1):
+                out[k] -= out[k - d]
+    for d in divs:
+        if _mobius(n // d) == -1:
+            for k in range(d, deg + 1):
+                out[k] += out[k - d]
+    return tuple(out)
+
+
+def test_cyclotomic_poly_matches_reference():
+    for n in range(1, 400):
+        assert cyclotomic_poly(n) == _ref_cyclotomic_poly(n), n
+    assert cyclotomic_poly(6160) == _ref_cyclotomic_poly(6160)
+    # the reference build of Phi_30030 divides by 63 factors of degree up to
+    # 30030; the Moebius product gives every coefficient in a fraction of it
+    phi = cyclotomic_poly(30030)
+    assert len(phi) - 1 == _totient(30030) == 5760
+    assert phi == _mobius_cyclotomic_poly(30030)
+    assert _mobius_cyclotomic_poly(105) == _ref_cyclotomic_poly(105)
+
+
+@pytest.mark.parametrize("dens", [
+    (64,), (81,), (121,),              # prime-power levels
+    (385,), (1155,), (2730,),          # squarefree levels
+    (8, 9, 5, 7), (12, 35), (2520,), (3080,), (4, 6, 10, 15),  # mixed
+], ids=lambda dens: "-".join(map(str, dens)))
+def test_to_cyclotomic_matches_dense_reduction(dens):
+    rng = random.Random(sum(dens))
+    # 2**50 starts in int64 and usually outgrows its bound mid-division;
+    # 10**30 starts on Python ints
+    for big in (3, 2 ** 50, 10 ** 30):
+        for _ in range(3):
+            terms = {}
+            for _ in range(rng.randint(1, 7)):
+                den = rng.choice(dens)
+                terms[(rng.randrange(0, 2 * den), den)] = Fraction(
+                    rng.randint(-big, big), rng.choice((1, 2, 3, 7)))
+            a = CosSum(terms)
+            el = to_cyclotomic(a)
+            assert (el.level, el.coeffs) == _ref_to_cyclotomic(a)
+            assert all(type(c) is Fraction for c in el.coeffs)
+
+
+def test_row_division_restarts_exactly_past_int64():
+    phi = cyclotomic_poly(30)
+    rng = random.Random(4)
+    # entries below 2**62 whose running bound crosses it mid-division, and
+    # entries past int64 from the start, next to a small case
+    for top in (5, 2 ** 60, 2 ** 61 - 1, 10 ** 30):
+        rows = [[rng.randint(-top, top) for _ in range(30)] for _ in range(3)]
+        quot, rem = trig_field._divmod_rows(rows, phi)
+        for row, q, r in zip(rows, quot.tolist(), rem.tolist()):
+            ref_q, ref_r = _ref_divmod(row, phi)
+            assert q == ref_q
+            assert r == ref_r + [0] * (len(phi) - 1 - len(ref_r))
+
+
 def test_normal_form_of_zero():
     a = cos_value(1, 5) - cos_value(2, 5) - 1
     el = to_cyclotomic(a)
@@ -231,6 +353,34 @@ def test_normal_form_of_zero():
     el2 = to_cyclotomic(b)
     assert any(c != 0 for c in el2.coeffs)
     assert el2.level == 7 and len(el2.coeffs) == 6  # deg Phi_14
+
+
+def test_is_zero_fast_path_at_large_coefficient_mass(monkeypatch):
+    exact_calls = []
+    reduce = trig_field.to_cyclotomic
+
+    def counted(a):
+        exact_calls.append(a)
+        return reduce(a)
+
+    monkeypatch.setattr(trig_field, "to_cyclotomic", counted)
+    rng = random.Random(12)
+    dens = [5, 7, 9, 12, 14, 15, 20, 21, 30, 35, 60]
+    for _ in range(20):
+        terms = {}
+        for _ in range(40):
+            den = rng.choice(dens)
+            terms[(rng.randrange(0, 2 * den), den)] = Fraction(
+                rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 9))
+        a = CosSum(terms)
+        zero = a - a.reduced()
+        assert zero.is_zero()
+        # 1e-12 is far below the fast path's 1e-9 * scale threshold, so the
+        # exact path must decide, and it must find the value nonzero
+        near = zero + Fraction(1, 10 ** 12)
+        before = len(exact_calls)
+        assert not near.is_zero()
+        assert len(exact_calls) == before + 1
 
 
 def test_float_matches_mpmath():
