@@ -13,13 +13,36 @@ Two interchangeable backends share the same closure source:
 
 * ``numba``: the scan loops below are jitted (nogil) and run over raw
   index ranges.
-* ``numpy``: a vectorized prefilter evaluates necessary pass conditions
-  for the first two image shells of every seed; only the rare candidates
-  passing all of them run the (uncompiled) closure.
+* ``numpy``: a vectorized prefilter tests necessary pass conditions on
+  the first two image shells of every seed; only the rare candidates
+  passing all of them run the (uncompiled) closure.  It works in stages
+  on a shrinking set of seeds:
+
+  1. Prefix stage (classes 1 and 3).  A condition that does not read the
+     last index axis is tested once per prefix idx // radix, on values
+     decoded at the prefix's first index: class 3 keeps Zp in s1, class 1
+     tests a weakened form of its ay and bx checks, or |wx|, |wy| <= eps
+     for a possible Cayley seed.  Only kept prefixes are expanded over the
+     last axis (31 or 83 values) and decoded in full.
+  2. Cayley seeds are counted on the expanded seeds.
+  3. The shell checks run one at a time, most rejecting first, and the
+     seed columns are compacted after each one.  Class 1 leaves out its
+     first shell, whose images are s1 values by construction.
+  4. Cayley seeds are dropped from the candidates, which the closure then
+     settles one by one.
+
+  Dictionary membership is an O(1) bucket lookup that returns the same
+  bracketing entries as np.searchsorted.
 
 The prefilter conditions are strictly weaker than the closure's accept
 conditions, so both backends produce identical survivor lists and
-statistics.  All work here is double precision with a tolerance well
+statistics.  The staging keeps that: every condition tested is one of
+the checks or a consequence of one, so a seed a stage drops fails the
+full conjunction too, and evaluation order does not change a
+conjunction.  The class-1 first-shell checks, the only ones left out,
+are shown never to fail; and a seed failing one would be rejected anyway
+by the closure's first step, which tests the same image with a tighter
+tolerance.  All work here is double precision with a tolerance well
 below half the minimal dictionary gap; nothing reported from this module
 is trusted without the exact confirmation pass.
 """
@@ -544,59 +567,171 @@ def close_float(X, Y, Z, wx, wy, wz, s4, eps, want_points=False):
 
 
 # ---------------------------------------------------------------------------
-# numpy backend: vectorized necessary conditions, then the shared closure
+# numpy backend: staged necessary conditions, then the shared closure
 
 
-def _in_dict_vec(v, d, eps):
-    k = np.searchsorted(d, v)
-    ok = np.zeros(v.shape, dtype=bool)
-    lo = np.clip(k - 1, 0, len(d) - 1)
-    hi = np.clip(k, 0, len(d) - 1)
-    ok |= np.abs(d[lo] - v) <= eps
-    ok |= np.abs(d[hi] - v) <= eps
-    return ok
+class _Lookup:
+    """np.searchsorted(d, v) in constant time over a sorted dictionary d.
+
+    Bucket j holds the floats v whose scaled offset (v - d[0]) * scale,
+    clipped to the table and truncated, is j.  The scale is twice the
+    inverse of the smallest gap of d, so a bucket holds at most one entry.
+    Entries and queries take their buckets through the same monotone float
+    operations, so an entry in an earlier bucket lies below v and one in a
+    later bucket above v; only the entry in v's own bucket is compared.
+    The rank is then the number of entries below v, as searchsorted returns.
+    """
+
+    def __init__(self, d: np.ndarray):
+        self.origin = float(d[0])
+        self.scale = 2.0 / float(np.min(np.diff(d)))
+        self.size = int((float(d[-1]) - self.origin) * self.scale) + 2
+        where = self.bucket(d)
+        if np.any(np.diff(where) < 1):
+            raise ValueError("two dictionary entries share a bucket")
+        self.before = np.searchsorted(where, np.arange(self.size))
+        self.entry = np.full(self.size, np.inf)
+        self.entry[where] = d
+        # d[k - 1] and d[k] for rank k, clipped to the ends of d
+        pos = np.arange(len(d) + 1)
+        self.lower = d[np.clip(pos - 1, 0, len(d) - 1)]
+        self.upper = d[np.clip(pos, 0, len(d) - 1)]
+
+    def bucket(self, v):
+        return np.clip((v - self.origin) * self.scale, 0, self.size - 1).astype(np.intp)
+
+    def rank(self, v):
+        """np.searchsorted(d, v) for every float v."""
+        j = self.bucket(v)
+        return self.before[j] + (v > self.entry[j])
+
+    def near(self, v, eps):
+        """Whether an entry of d lies within eps of v: the two entries that
+        bracket v, the nearest among them, are compared."""
+        k = self.rank(v)
+        return (np.abs(self.lower[k] - v) <= eps) | (np.abs(self.upper[k] - v) <= eps)
 
 
-def _prefilter_mask(X, Y, Z, wx, wy, wz, s4, eps):
-    """Necessary conditions for closure success on the first two shells."""
+_SEED = ("X", "Y", "Z", "wx", "wy", "wz")
+
+# The images the prefilter tests, name -> (w, coordinate, a, b): the image
+# is w - coordinate - a*b, the neighbour the closure computes.  Xp, Yp and
+# Zp (first shell) are the images of the seed; ay is the y-image of the
+# x-image, bx the x-image of the y-image, and so on (second shell).
+_IMAGES = {
+    "Xp": ("wx", "X", "Y", "Z"),
+    "Yp": ("wy", "Y", "X", "Z"),
+    "Zp": ("wz", "Z", "X", "Y"),
+    "ay": ("wy", "Y", "Xp", "Z"),
+    "az": ("wz", "Z", "Xp", "Y"),
+    "bx": ("wx", "X", "Yp", "Z"),
+    "bz": ("wz", "Z", "X", "Yp"),
+    "cx": ("wx", "X", "Y", "Zp"),
+    "cy": ("wy", "Y", "X", "Zp"),
+}
+
+# name -> (links, p1, p2, w1, w2).  The closure accepts an image v only as
+# a link to a known point, whose coordinate v must then equal, as a
+# dictionary value, or as a doubly-fixed point: 2*p1 + v*p2 = w1 and
+# 2*p2 + v*p1 = w2.
+_CHECKS = {
+    "Xp": (("X",), "Y", "Z", "wy", "wz"),
+    "Yp": (("Y",), "X", "Z", "wx", "wz"),
+    "Zp": (("Z",), "X", "Y", "wx", "wy"),
+    "ay": (("Y", "Yp"), "Xp", "Z", "wx", "wz"),
+    "az": (("Z", "Zp"), "Xp", "Y", "wx", "wy"),
+    "bx": (("X", "Xp"), "Yp", "Z", "wy", "wz"),
+    "bz": (("Z", "Zp"), "X", "Yp", "wx", "wy"),
+    "cx": (("X", "Xp"), "Y", "Zp", "wy", "wz"),
+    "cy": (("Y", "Yp"), "X", "Zp", "wx", "wz"),
+}
+
+# Checks per class, most rejecting first.  Class 1 leaves out the first
+# shell: its images are s1 values by construction, so those checks cannot
+# fail (tests/test_orbit_search.py proves it over the whole grid).
+_ORDER = {
+    1: ("cx", "bz", "az", "cy", "bx", "ay"),
+    2: ("bz", "bx", "cx", "Zp", "cy", "Xp", "Yp", "ay", "az"),
+    3: ("ay", "bx", "cy", "cx", "bz", "az", "Xp", "Yp", "Zp"),
+    4: ("cy", "Yp", "bz", "ay", "az", "Xp", "Zp", "bx", "cx"),
+}
+
+# Radix of the last index axis, which a class's prefix stage leaves out.
+_RADIX = {1: 31, 2: 1, 3: 83, 4: 1}
+
+
+class _Cols(dict):
+    """Columns of equal length over a set of seeds; an image is computed
+    from _IMAGES the first time it is read."""
+
+    def __missing__(self, key):
+        w, c, a, b = _IMAGES[key]
+        self[key] = v = self[w] - self[c] - self[a] * self[b]
+        return v
+
+    def take(self, keep):
+        return _Cols((k, v[keep]) for k, v in self.items())
+
+
+def _check(cols: _Cols, name: str, look4: _Lookup, eps: float, whole: bool = True):
+    """Necessary condition for the closure to accept image `name`, with
+    tolerance 4*eps on values and links and 16*eps on fixed points.  With
+    whole=False the fixed-point alternative keeps only its first equation:
+    a weaker condition that does not read w2."""
 
     eps_d = 4.0 * eps
     eps_b = 16.0 * eps
-    Xp = wx - X - Y * Z
-    Yp = wy - Y - X * Z
-    Zp = wz - Z - X * Y
+    links, p1, p2, w1, w2 = _CHECKS[name]
+    v = cols[name]
+    ok = look4.near(v, eps_d)
+    for c in links:
+        ok |= np.abs(v - cols[c]) <= eps_d
+    a1, a2 = cols[p1], cols[p2]
+    fixed = np.abs(2.0 * a1 + v * a2 - cols[w1]) <= eps_b
+    if whole:
+        fixed &= np.abs(2.0 * a2 + v * a1 - cols[w2]) <= eps_b
+    return ok | fixed
 
-    def check(v, ax0, ax1, p1, p2, w1, w2):
-        ok = _in_dict_vec(v, s4, eps_d)
-        ok |= np.abs(v - ax0) <= eps_d
-        if ax1 is not None:
-            ok |= np.abs(v - ax1) <= eps_d
-        ok |= (np.abs(2.0 * p1 + v * p2 - w1) <= eps_b) & (
-            np.abs(2.0 * p2 + v * p1 - w2) <= eps_b
+
+def _cayley(cols: _Cols, eps: float):
+    """Mask of the Cayley seeds, |wx|, |wy|, |wz|, |omega4| <= eps; omega4
+    is computed only where |wx| <= eps."""
+
+    cay = np.abs(cols["wx"]) <= eps
+    sel = np.flatnonzero(cay)
+    if len(sel):
+        X, Y, Z, wx, wy, wz = (cols[k][sel] for k in _SEED)
+        cay[sel] = (
+            (np.abs(wy) <= eps)
+            & (np.abs(wz) <= eps)
+            & (np.abs(_omega4(X, Y, Z, wx, wy, wz)) <= eps)
         )
-        return ok
-
-    # first shell: images of the seed point itself
-    mask = check(Xp, X, None, Y, Z, wy, wz)
-    mask &= check(Yp, Y, None, X, Z, wx, wz)
-    mask &= check(Zp, Z, None, X, Y, wx, wy)
-    # second shell: images of the three one-step points
-    ay = wy - Y - Xp * Z
-    az = wz - Z - Xp * Y
-    bx = wx - X - Yp * Z
-    bz = wz - Z - X * Yp
-    cx = wx - X - Y * Zp
-    cy = wy - Y - X * Zp
-    mask &= check(ay, Y, Yp, Xp, Z, wx, wz)
-    mask &= check(az, Z, Zp, Xp, Y, wx, wy)
-    mask &= check(bx, X, Xp, Yp, Z, wy, wz)
-    mask &= check(bz, Z, Zp, X, Yp, wx, wy)
-    mask &= check(cx, X, Xp, Y, Zp, wy, wz)
-    mask &= check(cy, Y, Yp, X, Zp, wx, wz)
-    return mask
+    return cay
 
 
-def _decode_vec(cls: int, idx: np.ndarray, t: ScanTables, eps: float):
+def _prefix_keep(cls: int, pref: np.ndarray, t: ScanTables, eps: float, look1, look4):
+    """Mask of the prefixes idx // radix whose seeds may pass the class's
+    index filter and prefilter, or may be Cayley seeds.
+
+    The values are decoded at the first index of each prefix; the ones
+    used here do not depend on the last axis, so they are the same floats
+    for every seed of the prefix.
+    """
+
+    cols = _Cols(zip(_SEED, _decode_vec(cls, pref * _RADIX[cls], t)))
+    if cls == 3:
+        # the scan keeps a class-3 seed only if Zp is an s1 value
+        return look1.near(cols["Zp"], eps)
+    # class 1: a prefix is (t, a, b); wx, wy, ay and bx do not read c
+    keep = _check(cols, "ay", look4, eps, whole=False)
+    keep &= _check(cols, "bx", look4, eps, whole=False)
+    keep |= (np.abs(cols["wx"]) <= eps) & (np.abs(cols["wy"]) <= eps)
+    return keep
+
+
+def _decode_vec(cls: int, idx: np.ndarray, t: ScanTables):
+    """(X, Y, Z, wx, wy, wz) of flat indices, as decode_float computes them."""
+
     if cls == 1:
         ti, r = np.divmod(idx, 29791)
         a, r2 = np.divmod(r, 961)
@@ -605,7 +740,6 @@ def _decode_vec(cls: int, idx: np.ndarray, t: ScanTables, eps: float):
         wx = X + t.s1[a] + Y * Z
         wy = Y + t.s1[b] + X * Z
         wz = Z + t.s1[cc] + X * Y
-        keep = None
     elif cls == 2:
         ti, r = np.divmod(idx, 6889)
         iX, iYp = np.divmod(r, 83)
@@ -615,15 +749,12 @@ def _decode_vec(cls: int, idx: np.ndarray, t: ScanTables, eps: float):
         wx = X + Xp + Y * Z
         wy = Y + Yp + X * Z
         wz = 2.0 * Z + Xp * Y
-        keep = None
     elif cls == 3:
         ti, r = np.divmod(idx, 213559)
         iYp, r2 = np.divmod(r, 6889)
         iX, iXp = np.divmod(r2, 83)
         Y, Z = t.p3y[ti], t.p3z[ti]
         X, Xp, Yp = t.s4[iX], t.s4[iXp], t.s1[iYp]
-        Zp = (Y + Yp + X * Z) - Z - X * Y
-        keep = _in_dict_vec(Zp, t.s1, eps)
         wx = X + Xp + Y * Z
         wy = Y + Yp + X * Z
         wz = wy
@@ -633,56 +764,54 @@ def _decode_vec(cls: int, idx: np.ndarray, t: ScanTables, eps: float):
         wx = X + t.s4[iXp] + Y * Z
         wy = wx
         wz = wx
-        keep = None
-    return X, Y, Z, wx, wy, wz, keep
+    return X, Y, Z, wx, wy, wz
 
 
 _NUMPY_BLOCK = 1 << 16
 
 
 def _scan_chunk_numpy(cls, start, stop, t: ScanTables, eps):
+    """Staged prefilter, then the closure on its candidates.
+
+    A block covers _NUMPY_BLOCK // radix prefixes, so that neither it nor
+    its expansion exceeds _NUMPY_BLOCK seeds.
+    The stages are those of the module docstring; the candidates reach
+    the closure in index order, so the output is that of the full
+    conjunction evaluated on every seed.
+    """
+
+    look1, look4 = _Lookup(t.s1), _Lookup(t.s4)
     s4list = t.s4.tolist()
+    radix = _RADIX[cls]
     out_idx = []
     out_size = []
-    nproc = 0
+    nproc = max(0, stop - start) - int(cls == 1 and start <= t.skip1 < stop)
     ncay = 0
     ncap = 0
-    for a in range(start, stop, _NUMPY_BLOCK):
-        b = min(stop, a + _NUMPY_BLOCK)
-        idx = np.arange(a, b, dtype=np.int64)
-        if cls == 1 and a <= t.skip1 < b:
+    first, last = start // radix, -(-stop // radix)
+    step = _NUMPY_BLOCK // radix
+    for a in range(first, last, step):
+        idx = np.arange(a, min(last, a + step), dtype=np.int64)
+        if radix > 1:
+            idx = idx[_prefix_keep(cls, idx, t, eps, look1, look4)]
+            idx = (idx[:, None] * radix + np.arange(radix)).ravel()
+            idx = idx[np.searchsorted(idx, start):np.searchsorted(idx, stop)]
+        if cls == 1:
             idx = idx[idx != t.skip1]
-        nproc += len(idx)
-        X, Y, Z, wx, wy, wz, keep = _decode_vec(cls, idx, t, eps)
-        if keep is not None:
-            idx, X, Y, Z = idx[keep], X[keep], Y[keep], Z[keep]
-            wx, wy, wz = wx[keep], wy[keep], wz[keep]
-        w4 = _omega4(X, Y, Z, wx, wy, wz)
-        cay = (
-            (np.abs(wx) <= eps)
-            & (np.abs(wy) <= eps)
-            & (np.abs(wz) <= eps)
-            & (np.abs(w4) <= eps)
-        )
-        ncay += int(cay.sum())
-        live = ~cay
-        live &= _prefilter_mask(X, Y, Z, wx, wy, wz, t.s4, eps)
-        for pos in np.flatnonzero(live):
-            res, _, _ = _close_pylist(
-                float(X[pos]),
-                float(Y[pos]),
-                float(Z[pos]),
-                float(wx[pos]),
-                float(wy[pos]),
-                float(wz[pos]),
-                s4list,
-                eps,
-            )
+        cols = _Cols(zip(_SEED, _decode_vec(cls, idx, t)))
+        cols["idx"] = idx
+        ncay += int(np.count_nonzero(_cayley(cols, eps)))
+        for name in _ORDER[cls]:
+            cols = cols.take(_check(cols, name, look4, eps))
+        cols = cols.take(~_cayley(cols, eps))
+        seeds = zip(*(cols[k].tolist() for k in ("idx",) + _SEED))
+        for i, X, Y, Z, wx, wy, wz in seeds:
+            res, _, _ = _close_pylist(X, Y, Z, wx, wy, wz, s4list, eps)
             if res == -1:
                 ncap += 1
             elif res > 0:
-                out_idx.append(int(idx[pos]))
-                out_size.append(int(res))
+                out_idx.append(i)
+                out_size.append(res)
     return out_idx, out_size, nproc, ncay, ncap
 
 

@@ -241,7 +241,7 @@ class CosSum:
         scale = sum(abs(float(c)) for _, c in self.terms)
         if abs(self._float) > 1e-9 * max(1.0, 2.0 * scale):
             return False
-        return all(c == 0 for c in to_cyclotomic(self).coeffs)
+        return to_cyclotomic(self).is_zero()
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -270,7 +270,7 @@ class CosSum:
     def inverse(self) -> "CosSum":
         """Exact multiplicative inverse (the ring is a field on nonzero values)."""
         el = to_cyclotomic(self)
-        if all(c == 0 for c in el.coeffs):
+        if el.is_zero():
             raise ZeroDivisionError("CosSum division by zero")
         phi = [Fraction(c) for c in cyclotomic_poly(2 * el.level)]
         inv = _poly_inverse_mod(list(el.coeffs), phi)
@@ -297,10 +297,22 @@ class CosSum:
 @dataclass(frozen=True, slots=True)
 class CyclotomicElement:
     """Normal form: rational vector in the power basis of a primitive 2L-th
-    root of unity, reduced modulo the 2L-th cyclotomic polynomial."""
+    root of unity, reduced modulo the 2L-th cyclotomic polynomial.
+
+    The vector is kept as integers over one common denominator, in lowest
+    terms (gcd(common, *numer) == 1), so equal vectors have equal fields.
+    """
 
     level: int  # L; the root of unity has order 2L
-    coeffs: Tuple[Fraction, ...]  # length = deg Phi_{2L}
+    numer: Tuple[int, ...]  # length = deg Phi_{2L}
+    common: int  # positive
+
+    @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.common) for x in self.numer)
+
+    def is_zero(self) -> bool:
+        return not any(self.numer)
 
 
 def _primes(n: int) -> Tuple[int, ...]:
@@ -403,7 +415,7 @@ def to_cyclotomic(a: CosSum) -> CyclotomicElement:
     form as a dense division by Phi_n, entry for entry.
     """
     if not a.terms:
-        return CyclotomicElement(1, (Fraction(0),))
+        return CyclotomicElement(1, (0,), 1)
     level = 1
     for (_, den), _ in a.terms:
         level = _lcm(level, den)
@@ -422,8 +434,9 @@ def to_cyclotomic(a: CosSum) -> CyclotomicElement:
     for e, c in exps.items():
         rows[e % s][e // s] = c.numerator * (common // c.denominator)
     _, rem = _divmod_rows(rows, cyclotomic_poly(r))
-    return CyclotomicElement(
-        level, tuple(Fraction(x, common) for x in rem.T.reshape(-1).tolist()))
+    numer = rem.T.reshape(-1).tolist()
+    g = math.gcd(common, *numer)
+    return CyclotomicElement(level, tuple(x // g for x in numer), common // g)
 
 
 def _symmetrize(coeffs: Sequence[Fraction], level: int) -> CosSum:

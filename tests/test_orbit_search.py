@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fricke_orbits import _kernels
@@ -336,6 +337,20 @@ def test_close_float_worked_example():
     (2, 3_000_000, 3_060_000),
     (3, 27_000_000, 27_200_000),
     (4, 4_000_000, 4_060_000),
+    # the numpy scan filters class 1 per 31 and class 3 per 83 indices
+    # before it expands them: ranges that start and end inside a prefix,
+    # contain the skipped seed, cross a seed triple (class 1, 29,791) or a
+    # (Y, Z) pair (class 3, 213,559), with survivors and Cayley seeds
+    # (1,707,108 is one of class 1's 15)
+    (1, KT.skip1 - 100, 817 * 29791 + 113),
+    (3, 30 * 213559 - 71_201, 30 * 213559 + 40_000),
+    (1, 1_707_090, 1_707_125),
+    (3, 1_000_005, 1_000_070),
+    # the empty range, which full_search uses to compile the numba loops
+    (1, 0, 0),
+    (2, 0, 0),
+    (3, 0, 0),
+    (4, 0, 0),
 ])
 def test_backend_parity(cls, start, stop):
     results = [
@@ -343,6 +358,60 @@ def test_backend_parity(cls, start, stop):
     ]
     for other in results[1:]:
         assert other == results[0]
+
+
+def _lookup_probes(look, d, rng):
+    edges = look.origin + np.arange(-2, look.size + 2) / look.scale
+    eps_d = 4.0 * EPS
+    return np.concatenate([
+        d,
+        np.nextafter(d, -np.inf),
+        np.nextafter(d, np.inf),
+        d - eps_d,
+        d + eps_d,
+        edges,
+        np.nextafter(edges, -np.inf),
+        np.nextafter(edges, np.inf),
+        [-np.inf, -50.0, -2.5, np.nextafter(-2.0, -np.inf), 2.0, 2.5, 50.0, np.inf],
+        [rng.uniform(-50.0, 50.0) for _ in range(20000)],
+        [rng.uniform(-2.1, 2.1) for _ in range(20000)],
+    ])
+
+
+@pytest.mark.parametrize("name", ["s1", "s4"])
+def test_bucket_lookup_matches_searchsorted(name):
+    d = getattr(KT, name)
+    look = _kernels._Lookup(d)
+    v = _lookup_probes(look, d, random.Random(23))
+    k = np.searchsorted(d, v)
+    assert np.array_equal(look.rank(v), k)
+    lo = np.clip(k - 1, 0, len(d) - 1)
+    hi = np.clip(k, 0, len(d) - 1)
+    # the largest eps full_search accepts: 2 * eps < min_gap
+    largest = np.nextafter(D.min_gap / 2, 0.0)
+    assert 2 * largest < D.min_gap
+    for eps in (EPS, largest):
+        for tol in (eps, 4.0 * eps):
+            ref = (np.abs(d[lo] - v) <= tol) | (np.abs(d[hi] - v) <= tol)
+            assert np.array_equal(look.near(v, tol), ref)
+
+
+@pytest.mark.parametrize("image,radix", [("Xp", 961), ("Yp", 31), ("Zp", 1)])
+def test_class1_first_shell_checks_cannot_fail(image, radix):
+    # The numpy scan leaves out class 1's first-shell checks.  Over every
+    # seed triple and every value of the prime the image reads, the image
+    # lies within 4*eps of an s4 value, so each of those checks passes.
+    idx = (np.arange(len(KT.c1x))[:, None] * 29791
+           + np.arange(31) * radix).ravel()
+    cols = _kernels._Cols(zip(_kernels._SEED, _kernels._decode_vec(1, idx, KT)))
+    v = cols[image]
+    k = np.searchsorted(KT.s4, v)
+    lo = KT.s4[np.clip(k - 1, 0, len(KT.s4) - 1)]
+    hi = KT.s4[np.clip(k, 0, len(KT.s4) - 1)]
+    gap = np.minimum(np.abs(lo - v), np.abs(hi - v))
+    assert len(v) == 1632 * 31
+    assert gap.max() <= 4.0 * EPS
+    assert _kernels._check(cols, image, _kernels._Lookup(KT.s4), EPS).all()
 
 
 def test_scan_skips_duplicate_zero_seed():

@@ -329,6 +329,8 @@ def test_to_cyclotomic_matches_dense_reduction(dens):
             el = to_cyclotomic(a)
             assert (el.level, el.coeffs) == _ref_to_cyclotomic(a)
             assert all(type(c) is Fraction for c in el.coeffs)
+            assert el.common > 0 and math.gcd(el.common, *el.numer) == 1
+            assert el.is_zero() == all(c == 0 for c in el.coeffs)
 
 
 def test_row_division_restarts_exactly_past_int64():
