@@ -56,7 +56,7 @@ from .parameter_maps import (
     omega_from_theta,
     theta_candidates_for_omega,
 )
-from .trig_field import CosSum, cos_value, from_rational
+from .trig_field import CosSum, _fold, cos_value, from_rational
 
 
 # ---------------------------------------------------------------------------
@@ -430,11 +430,6 @@ def cmd_cayley(cfg: RunConfig, ry: str, rz: str) -> int:
     return 0
 
 
-def _fold_angle(q: Fraction) -> Fraction:
-    r = q % 2
-    return r if r <= 1 else 2 - r
-
-
 def _published_related(cands: Sequence[Theta], row: GoldenRow, w: Omega) -> bool:
     """Does the row's published theta belong to this candidate family?
 
@@ -447,8 +442,8 @@ def _published_related(cands: Sequence[Theta], row: GoldenRow, w: Omega) -> bool
     if row.theta is None or not cands:
         return False
     pub = make_theta(*row.theta)
-    a = [_fold_angle(q) for q in (pub.tx, pub.ty, pub.tz)]
-    ainf = _fold_angle(pub.tinf)
+    a = [_fold(q) for q in (pub.tx, pub.ty, pub.tz)]
+    ainf = _fold(pub.tinf)
     for perm in itertools.permutations(range(3)):
         for flips in ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)):
             coords = [

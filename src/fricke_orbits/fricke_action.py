@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .trig_field import CosSum, compare_tuples, cos_value, from_rational
+from .trig_field import CosSum, compare, compare_tuples, cos_value, from_rational
 
 Point3 = Tuple[CosSum, CosSum, CosSum]
 
@@ -156,30 +156,56 @@ def equiv_transform(t: Equivalence, p: Point3, w: Omega) -> Tuple[Point3, Omega]
     return new_p, Omega(new_w[0], new_w[1], new_w[2], w.w4)
 
 
-def _point_cmp(a, b) -> int:
-    return compare_tuples(a, b)
-
-
 def canonical_key(points: Sequence[Point3], w: Omega) -> Tuple[CosSum, ...]:
     """Lexicographically minimal image over the 24 equivalences of
     (w4, w triple, sorted point list).
 
     Two complete orbits are equivalent iff their keys compare equal under the
     exact total order.
+
+    Every entry of every image is w4, or +v or -v for a coordinate or
+    parameter v.  Those values are sorted once under the exact total order
+    `compare`, so equal values are adjacent and one comparison per
+    neighbouring pair gives them one integer rank: ranks compare exactly as
+    the values do.  Sorting points by rank tuples (stably, as the exact sort
+    did) and taking the first minimal rank tuple in all_equivalences() order
+    therefore picks the image the exact lexicographic comparison picks.  Its
+    entries are the original objects for sign +1 and one cached -v for
+    sign -1, which has the terms of v * -1, so the key is the same term for
+    term as building every image and comparing entry by entry.
     """
-    best: Optional[Tuple[CosSum, ...]] = None
     ws = (w.wx, w.wy, w.wz)
+    objs = {id(v): v for v in itertools.chain(ws, *points)}
+    negs = {k: -v for k, v in objs.items()}
+    # in float order the list is sorted up to float ties, so the exact sort
+    # runs in about one compare per value
+    order = sorted([w.w4, *objs.values(), *negs.values()], key=float)
+    order.sort(key=cmp_to_key(compare))
+    rank = {id(order[0]): 0}
+    r = 0
+    for prev, v in zip(order, order[1:]):
+        r += compare(prev, v) != 0
+        rank[id(v)] = r
+
+    def signed(v: CosSum, s: int) -> CosSum:
+        return v if s == 1 else negs[id(v)]
+
+    best = best_t = None
     for perm, signs in all_equivalences():
-        tw = [ws[perm[i]] * signs[i] for i in range(3)]
-        tp = [tuple(p[perm[i]] * signs[i] for i in range(3)) for p in points]
-        tp.sort(key=cmp_to_key(_point_cmp))
-        flat: List[CosSum] = [w.w4] + tw
-        for p in tp:
-            flat.extend(p)
-        cand = tuple(flat)
-        if best is None or compare_tuples(cand, best) < 0:
-            best = cand
-    return best
+        tp = [tuple(rank[id(signed(p[perm[i]], signs[i]))] for i in range(3))
+              for p in points]
+        idx = sorted(range(len(points)), key=tp.__getitem__)
+        cand = [rank[id(w.w4)]]
+        cand.extend(rank[id(signed(ws[perm[i]], signs[i]))] for i in range(3))
+        for j in idx:
+            cand.extend(tp[j])
+        if best is None or cand < best:
+            best, best_t = cand, (perm, signs, idx)
+    perm, signs, idx = best_t
+    key = [w.w4] + [signed(ws[perm[i]], signs[i]) for i in range(3)]
+    for j in idx:
+        key.extend(signed(points[j][perm[i]], signs[i]) for i in range(3))
+    return tuple(key)
 
 
 def keys_equal(a: Sequence[CosSum], b: Sequence[CosSum]) -> bool:

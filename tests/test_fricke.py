@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
@@ -21,7 +22,7 @@ from fricke_orbits.fricke_action import (
     suborbit,
     suborbit_parity_checks,
 )
-from fricke_orbits.trig_field import CosSum, cos_value, from_rational
+from fricke_orbits.trig_field import CosSum, compare_tuples, cos_value, from_rational
 
 # a 5-point orbit used as a worked example throughout: parameters
 # (wx, wy, wz) = (0, 1, 1), w4 = 4
@@ -127,6 +128,77 @@ def test_canonical_key_invariance():
     assert keys_equal(key, canonical_key(shuffled, W5))
     other = canonical_key([make_point(1, 1, 1)], make_omega(0, 0, 0, 0))
     assert not keys_equal(key, other)
+
+
+def _ref_canonical_key(points, w):
+    """The direct method, kept as the reference: build all 24 images, sort
+    each one's points and take the first minimum, all under exact
+    comparison."""
+    best = None
+    ws = (w.wx, w.wy, w.wz)
+    for perm, signs in all_equivalences():
+        tw = [ws[perm[i]] * signs[i] for i in range(3)]
+        tp = [tuple(p[perm[i]] * signs[i] for i in range(3)) for p in points]
+        tp.sort(key=cmp_to_key(compare_tuples))
+        flat = [w.w4] + tw
+        for p in tp:
+            flat.extend(p)
+        cand = tuple(flat)
+        if best is None or compare_tuples(cand, best) < 0:
+            best = cand
+    return best
+
+
+def _assert_same_terms(key, ref):
+    assert len(key) == len(ref)
+    for i, (v, r) in enumerate(zip(key, ref)):
+        assert v.terms == r.terms, i
+        assert v.float_value() == r.float_value(), i
+
+
+def test_canonical_key_matches_reference_on_golden_orbits(golden_orbits):
+    for points, w in golden_orbits:
+        _assert_same_terms(canonical_key(points, w), _ref_canonical_key(points, w))
+
+
+def test_canonical_key_invariance_on_golden_orbits(golden_orbits):
+    rng = random.Random(45)
+    for points, w in golden_orbits[::15]:
+        key = canonical_key(points, w)
+        shuffled = list(points)
+        rng.shuffle(shuffled)
+        assert keys_equal(key, canonical_key(shuffled, w))
+        for t in all_equivalences():
+            tp = [equiv_transform(t, p, w)[0] for p in points]
+            tw = equiv_transform(t, points[0], w)[1]
+            assert keys_equal(key, canonical_key(tp, tw))
+
+
+def test_canonical_key_constructed_ties():
+    # one value written two ways, and two values whose floats tie
+    one = cos_value(1, 5) - cos_value(2, 5)
+    a = cos_value(1, 7)
+    a_up = a + Fraction(1, 10 ** 12)
+    assert one.terms != from_rational(1).terms
+    assert abs(a_up.float_value() - a.float_value()) < 1e-10
+    points = [
+        make_point(1, 0, a), (one, from_rational(0), a),  # equal points
+        (one, a, from_rational(0)), (from_rational(1), a_up, from_rational(0)),
+        (a_up, one, -a), (a, from_rational(1), -a_up), (-a, -a_up, one),
+    ]
+    w = make_omega(one, 1, a, a_up)
+    key = canonical_key(points, w)
+    _assert_same_terms(key, _ref_canonical_key(points, w))
+    rng = random.Random(3)
+    for _ in range(4):
+        shuffled = list(points)
+        rng.shuffle(shuffled)
+        _assert_same_terms(canonical_key(shuffled, w),
+                           _ref_canonical_key(shuffled, w))
+    for t in all_equivalences():
+        tp = [equiv_transform(t, p, w)[0] for p in points]
+        tw = equiv_transform(t, points[0], w)[1]
+        assert keys_equal(key, canonical_key(tp, tw))
 
 
 def test_cosine_angle():

@@ -6,16 +6,15 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from fricke_orbits import trig_field
+from fricke_orbits import fricke_action, trig_field
 from fricke_orbits.trig_field import (
     CosSum,
     RationalAngle,
     compare,
     cos_value,
+    ORDER_TIE_EPS,
     cyclotomic_poly,
-    float_of,
     from_rational,
-    is_zero,
     match_dictionary,
     to_cyclotomic,
 )
@@ -104,9 +103,9 @@ def test_constants():
 
 
 def test_float_values():
-    assert float_of(cos_value(1, 3)) == pytest.approx(1.0, abs=1e-12)
-    assert float_of(cos_value(1, 5)) == pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-12)
-    assert float_of(from_rational(2)) == 2.0
+    assert cos_value(1, 3).float_value() == pytest.approx(1.0, abs=1e-12)
+    assert cos_value(1, 5).float_value() == pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-12)
+    assert from_rational(2).float_value() == 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +388,7 @@ def test_float_matches_mpmath():
     rng = random.Random(3)
     for _ in range(50):
         a = _random_cossum(rng)
-        assert float_of(a) == pytest.approx(float(a.mp_value(50)), abs=1e-12)
+        assert a.float_value() == pytest.approx(float(a.mp_value(50)), abs=1e-12)
 
 
 def test_match_dictionary():
@@ -409,3 +408,55 @@ def test_total_order():
     a = cos_value(1, 5)
     assert compare(a, a + tiny) == -1
     assert compare(a + tiny, a) == 1
+
+
+def _mp_sign(d):
+    v = d.mp_value(60)
+    return (v > 0) - (v < 0)
+
+
+def test_compare_around_tie_band(monkeypatch):
+    exact_calls = []
+    reduce = trig_field.to_cyclotomic
+
+    def counted(a):
+        exact_calls.append(a)
+        return reduce(a)
+
+    monkeypatch.setattr(trig_field, "to_cyclotomic", counted)
+    bases = [cos_value(1, 5), cos_value(3, 7) - cos_value(1, 9) * Fraction(2, 3),
+             from_rational(Fraction(-7, 3)), cos_value(1, 5) - cos_value(2, 5)]
+    # 2e-10 lies outside the tie band, 5e-11 and 1e-12 inside it
+    for off in (Fraction(2, 10 ** 10), Fraction(5, 10 ** 11), Fraction(1, 10 ** 12)):
+        for a in bases:
+            for b in (a + off, a - off):
+                sign = _mp_sign(a - b)
+                assert sign != 0
+                before = len(exact_calls)
+                assert compare(a, b) == sign
+                assert compare(b, a) == -sign
+                # the exact path runs only on float ties
+                assert (len(exact_calls) > before) == (off < ORDER_TIE_EPS)
+    assert compare(bases[3], from_rational(1)) == 0
+
+
+def test_compare_float_difference_matches_float_of_difference(golden_orbits, monkeypatch):
+    """The premise of compare's fast path, on every pair canonical_key
+    compares over the 45 reference orbits: the difference of the cached
+    floats is within 1e-12 of the float of a - b, so wherever the float of
+    a - b lies outside the tie band, compare returns its sign."""
+    pairs = []
+
+    def recording(a, b):
+        pairs.append((a, b))
+        return compare(a, b)
+
+    monkeypatch.setattr(fricke_action, "compare", recording)
+    for points, w in golden_orbits:
+        fricke_action.canonical_key(points, w)
+    assert len(pairs) > 1000
+    for a, b in pairs:
+        fd = (a - b).float_value()
+        assert abs((a.float_value() - b.float_value()) - fd) <= 1e-12
+        if abs(fd) > ORDER_TIE_EPS:
+            assert compare(a, b) == (1 if fd > 0 else -1)
