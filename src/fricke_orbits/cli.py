@@ -40,9 +40,9 @@ from .orbit_search import (
     SearchResult,
     _matches_row,
     cayley_orbit,
+    check_search_args,
     close_orbit,
     full_search,
-    get_dictionaries,
     get_search_tables,
 )
 from .parameter_maps import (
@@ -145,13 +145,7 @@ class RunConfig:
     backend: Optional[str] = None
 
     def validate(self) -> None:
-        gap = get_dictionaries().min_gap
-        if not 0 < self.eps < gap / 2:
-            raise ValueError(
-                f"eps must lie in (0, {gap / 2:.6g}), half the dictionary gap"
-            )
-        if self.threads is not None and self.threads < 1:
-            raise ValueError("threads must be at least 1")
+        check_search_args(self.threads, self.eps)
 
 
 def _emit(text: str, out: Optional[str]) -> None:

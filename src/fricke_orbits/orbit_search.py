@@ -65,6 +65,7 @@ __all__ = [
     "SearchResult",
     "build_dictionaries",
     "cayley_orbit",
+    "check_search_args",
     "class_counter",
     "classify_special",
     "close_orbit",
@@ -456,7 +457,14 @@ def close_orbit(
 
 
 def verify_record(rec: OrbitRecord) -> bool:
-    """Exact re-check: involution tables, surface membership, every edge."""
+    """Exact re-check: involution tables, surface membership, every edge.
+
+    The residual is evaluated at one point per connected component of the
+    neighbour table.  `apply` maps x to wx - x - yz, the other root of the
+    residual as a quadratic in x, so R(s_x p) = R(p) identically (and so
+    for y and z); every edge is then confirmed exactly, which carries the
+    residual across its component.
+    """
 
     n = rec.size
     for c in range(3):
@@ -467,9 +475,19 @@ def verify_record(rec: OrbitRecord) -> bool:
             j = col[i]
             if not (0 <= j < n) or col[j] != i:
                 raise ValueError("neighbor table is not an involution")
+    reached = [False] * n
     for i, p in enumerate(rec.points):
-        if not fricke_residual(p, rec.omega).is_zero():
-            raise ValueError(f"point {i} is off the surface")
+        if not reached[i]:
+            if not fricke_residual(p, rec.omega).is_zero():
+                raise ValueError(f"point {i} is off the surface")
+            reached[i] = True
+            todo = [i]
+            while todo:
+                k = todo.pop()
+                for col in rec.neighbors:
+                    if not reached[col[k]]:
+                        reached[col[k]] = True
+                        todo.append(col[k])
         for c, g in enumerate("xyz"):
             q = apply(g, p, rec.omega)
             if not points_equal(q, rec.points[rec.neighbors[c][i]]):
@@ -620,6 +638,17 @@ def _threads_from_env() -> int:
     return threads
 
 
+def check_search_args(threads: Optional[int], eps: float) -> None:
+    """Raise ValueError unless eps lies in (0, half the dictionary gap),
+    which NaN does not, and threads, when given, is at least 1."""
+
+    gap = get_dictionaries().min_gap
+    if not 0 < eps < gap / 2:
+        raise ValueError(f"eps must lie in (0, {gap / 2:.6g}), half the dictionary gap")
+    if threads is not None and threads < 1:
+        raise ValueError("threads must be at least 1")
+
+
 def full_search(
     threads: Optional[int] = None,
     eps: float = EPS,
@@ -632,19 +661,18 @@ def full_search(
     The result list is sorted by (size, canonical key) and is identical
     for every thread count and backend: work is split into fixed chunks
     merged in index order, and all decisions downstream of the float
-    scan are exact.
+    scan are exact.  Arguments failing check_search_args raise ValueError
+    before anything is scanned.
     """
 
     t0 = time.perf_counter()
+    check_search_args(threads, eps)
     if backend is None:
         backend = _kernels.backend_name()
     if threads is None:
         threads = _threads_from_env()
-    threads = max(1, int(threads))
     tables = get_search_tables()
     kt = tables.kernel
-    if 2 * eps >= tables.dicts.min_gap:
-        raise ValueError("eps must stay below half the dictionary gap")
 
     tasks = []
     for cls in (1, 2, 3, 4):

@@ -17,6 +17,7 @@ from fricke_orbits.fricke_action import (
 from fricke_orbits.orbit_search import (
     EPS,
     CapError,
+    OrbitRecord,
     cayley_orbit,
     class_counter,
     classify_special,
@@ -206,6 +207,21 @@ def test_verify_record_catches_tampering():
         verify_record(broken)
 
 
+def test_verify_record_checks_every_component():
+    # two fixed points, each its own component: (0, 0, 0) is on the
+    # surface, (-2, -2, -2) is not (residual 4), and every edge holds
+    w = make_omega(0, 0, 0, 4)
+    pts = (make_point(0, 0, 0), make_point(-2, -2, -2))
+    for p in pts:
+        for g in "xyz":
+            assert points_equal(apply(g, p, w), p)
+    assert fricke_residual(pts[0], w).is_zero()
+    assert (fricke_residual(pts[1], w) - 4).is_zero()
+    rec = OrbitRecord(pts, ((0, 1), (0, 1), (0, 1)), w)
+    with pytest.raises(ValueError, match="point 1 is off the surface"):
+        verify_record(rec)
+
+
 # ---------------------------------------------------------------------------
 # parametric families
 
@@ -360,6 +376,148 @@ def test_backend_parity(cls, start, stop):
         assert other == results[0]
 
 
+def _scan_reference(cls, start, stop):
+    """The numpy scan as it was before the lockstep closure: the same
+    staged prefilter, then _close_pylist on each candidate in index order."""
+
+    t, eps = KT, EPS
+    look1, look4 = _kernels._Lookup(t.s1), _kernels._Lookup(t.s4)
+    s4list = t.s4.tolist()
+    radix = _kernels._RADIX[cls]
+    out_idx, out_size = [], []
+    nproc = max(0, stop - start) - int(cls == 1 and start <= t.skip1 < stop)
+    ncay = ncap = 0
+    first, last = start // radix, -(-stop // radix)
+    step = _kernels._NUMPY_BLOCK // radix
+    for a in range(first, last, step):
+        idx = np.arange(a, min(last, a + step), dtype=np.int64)
+        if radix > 1:
+            idx = idx[_kernels._prefix_keep(cls, idx, t, eps, look1, look4)]
+            idx = (idx[:, None] * radix + np.arange(radix)).ravel()
+            idx = idx[np.searchsorted(idx, start):np.searchsorted(idx, stop)]
+        if cls == 1:
+            idx = idx[idx != t.skip1]
+        cols = _kernels._Cols(zip(_kernels._SEED, _kernels._decode_vec(cls, idx, t)))
+        cols["idx"] = idx
+        ncay += int(np.count_nonzero(_kernels._cayley(cols, eps)))
+        for name in _kernels._ORDER[cls]:
+            cols = cols.take(_kernels._check(cols, name, look4, eps))
+        cols = cols.take(~_kernels._cayley(cols, eps))
+        seeds = zip(*(cols[k].tolist() for k in ("idx",) + _kernels._SEED))
+        for i, X, Y, Z, wx, wy, wz in seeds:
+            res, _, _ = _kernels._close_pylist(X, Y, Z, wx, wy, wz, s4list, eps)
+            if res == -1:
+                ncap += 1
+            elif res > 0:
+                out_idx.append(i)
+                out_size.append(res)
+    return out_idx, out_size, nproc, ncay, ncap
+
+
+@pytest.mark.parametrize("cls", [1, 3])
+def test_numpy_scan_matches_per_seed_closure_on_heavy_blocks(cls):
+    # the first 2^17 seeds of classes 1 and 3 send the most candidates to
+    # the closure (class 1: about 32,000), so they fill many lockstep
+    # batches and reach the hand-off to the per-seed closure
+    out = _kernels.scan_chunk(cls, 0, 1 << 17, KT, EPS, "numpy")
+    assert out == _scan_reference(cls, 0, 1 << 17)
+    assert len(out[0]) > 100
+
+
+# Scan seeds as (class, index), each closing to the size or result noted:
+# rejected, rejected after a doubly-fixed append (+), 1, 2, 5+, 6+, 10+,
+# 12, 15+, 18+, 20+, 36+, 40 and 72 points.
+_CLOSURE_SEEDS = [
+    (1, 0), (1, 1), (1, 2), (1, 3), (1, 63088), (1, 70032),
+    (1, 14895), (1, 44687), (1, 480), (2, 718724), (1, 2100105),
+    (3, 3275069), (1, 5133), (1, 10987913), (2, 2289416), (1, 1412106),
+    (1, 1411874), (1, 11504298), (1, 1412091),
+    (1, 1559119), (1, 11504291), (1, 25868781), (1, 35967832),
+]
+
+# The worked example (-1, 1, 1) with w = (0, 1, 1): its fifth point is
+# (0, 0, 0), appended after the width has grown from 4 to 8.
+_WORKED_SEED = (-1.0, 1.0, 1.0, 0.0, 1.0, 1.0)
+
+# With the dictionary of quarters in [-3, 3] and eps = 0.1, this seed's
+# closure finds a link to a point whose slot is already filled and is
+# rejected; accepting that link would close it at 4 points.
+_QUARTERS = [k / 4 for k in range(-12, 13)]
+_FILLED_LINK_SEED = (0.0625, -0.25, -0.4375, 0.0625, -0.5, -0.75)
+
+
+def _seed_rows(pairs):
+    return np.array([_kernels.decode_float(c, i, KT)[:6] for c, i in pairs])
+
+
+def _in_lockstep(rows):
+    # each seed more often than the hand-off bound, so that its copies
+    # stay live together and close without the hand-off
+    return np.repeat(np.asarray(rows, np.float64), _kernels._LOCKSTEP_HANDOFF + 1, axis=0)
+
+
+def _lockstep_results(seeds, d=KT.s4, eps=EPS):
+    """The lockstep closure's results, checked seed by seed against
+    _close_pylist."""
+
+    seeds = np.asarray(seeds, np.float64).reshape(-1, 6)
+    d = np.asarray(d, np.float64)
+    got = _kernels._close_lockstep(seeds, _kernels._Lookup(d), d.tolist(), eps)
+    want = [_kernels._close_pylist(*row, d.tolist(), eps)[0] for row in seeds.tolist()]
+    assert got.dtype == np.int64 and got.tolist() == want
+    return want
+
+
+def test_lockstep_closure_empty_batch():
+    assert _lockstep_results(np.empty((0, 6))) == []
+
+
+def test_lockstep_closure_mixed_batch(monkeypatch):
+    # three copies of every scan seed and the worked example in lockstep:
+    # the width doubles from 4 to 32, finished rows are dropped, and the
+    # longest orbits are handed off to the per-seed closure
+    seeds = np.concatenate([
+        np.tile(_seed_rows(_CLOSURE_SEEDS), (3, 1)), _in_lockstep([_WORKED_SEED])
+    ])
+    handed = []
+    pylist = _kernels._close_pylist
+
+    def counting(*args):
+        handed.append(args[:6])
+        return pylist(*args)
+
+    monkeypatch.setattr(_kernels, "_close_pylist", counting)
+    got = _kernels._close_lockstep(
+        seeds, _kernels._Lookup(KT.s4), KT.s4.tolist(), EPS
+    ).tolist()
+    monkeypatch.undo()
+    assert 0 < len(handed) <= _kernels._LOCKSTEP_HANDOFF
+    assert got == _lockstep_results(seeds)
+    assert got[:len(_CLOSURE_SEEDS)] == [
+        0, 0, 0, 0, 0, 0, 1, 1, 2, 5, 6, 10, 12, 15, 18, 20, 36, 36, 40,
+        72, 72, 72, 72,
+    ]
+    assert got[-1] == 5
+
+
+def test_lockstep_closure_link_into_filled_slot():
+    got = _lockstep_results(_in_lockstep([_FILLED_LINK_SEED]), _QUARTERS, 0.1)
+    assert got[0] == 0
+
+
+def test_lockstep_closure_doubly_fixed_append():
+    seeds = _in_lockstep(_seed_rows([(2, 718724), (1, 1411874), (3, 3275069)]))
+    assert _lockstep_results(seeds)[::_kernels._LOCKSTEP_HANDOFF + 1] == [5, 36, 10]
+
+
+def test_lockstep_closure_cap(monkeypatch):
+    monkeypatch.setattr(_kernels, "CAP", 5)
+    got = _lockstep_results(_in_lockstep(_seed_rows(_CLOSURE_SEEDS)))
+    # orbits of more than 5 points hit the cap, and so do the six rejected
+    # seeds, whose rejection comes after a sixth point; 5 points still close
+    assert got[::_kernels._LOCKSTEP_HANDOFF + 1] == [-1] * 6 + [1, 1, 2, 5] + [-1] * 13
+
+
 def _lookup_probes(look, d, rng):
     edges = look.origin + np.arange(-2, look.size + 2) / look.scale
     eps_d = 4.0 * EPS
@@ -448,6 +606,15 @@ def test_float_rejections_match_exact_closure():
 
 # ---------------------------------------------------------------------------
 # full search (session fixture in conftest, shared with other test files)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"threads": 0}, {"eps": 0.0}, {"eps": math.nan}, {"eps": D.min_gap / 2},
+])
+def test_full_search_rejects_bad_arguments(kwargs):
+    # checked before any seed is scanned
+    with pytest.raises(ValueError):
+        full_search(**kwargs)
 
 
 def test_full_search_finds_the_table(search_result):
