@@ -1,4 +1,4 @@
-"""Backend-selectable float scan loops for the orbit search.
+"""Float scan of the orbit search.
 
 The search examines roughly 1.2e8 candidate seeds.  Each seed is a point
 (X, Y, Z) plus parameters (wx, wy, wz) fed to a closure routine that
@@ -9,67 +9,59 @@ value, accept a doubly-fixed point when the two fixed-point relations
 graph closes; survivors are re-derived and confirmed in exact arithmetic
 by orbit_search.
 
-Two interchangeable backends share the same closure source:
+The closure of one seed is _close_pylist.  scan_chunk runs numpy over a
+range of seeds: a vectorized prefilter tests necessary pass conditions
+on the first two image shells of every seed, and only the candidates
+passing all of them are closed.  It works in stages on a shrinking set
+of seeds:
 
-* ``numba``: the scan loops below are jitted (nogil) and run over raw
-  index ranges.
-* ``numpy``: a vectorized prefilter tests necessary pass conditions on
-  the first two image shells of every seed; only the candidates passing
-  all of them run the closure, vectorized across seeds.  It works in
-  stages on a shrinking set of seeds:
+1. Prefix stage (classes 1 and 3).  A condition that does not read the
+   last index axis is tested once per prefix idx // radix, on values
+   decoded at the prefix's first index: class 3 keeps Zp in s1, class 1
+   tests a weakened form of its ay and bx checks, or |wx|, |wy| <= eps
+   for a possible Cayley seed.  Only kept prefixes are expanded over the
+   last axis (31 or 83 values) and decoded in full.
+2. Cayley seeds are counted on the expanded seeds.
+3. The shell checks run one at a time, most rejecting first, and the
+   seed columns are compacted after each one.  Class 1 leaves out its
+   first shell, whose images are s1 values by construction.
+4. Cayley seeds are dropped from the candidates, which a lockstep
+   closure settles in batches of up to _LOCKSTEP_ROWS seeds: every seed
+   of a batch advances one BFS slot per numpy iteration, with the float
+   operations of _close_pylist in the same order, so each gets the result
+   the per-seed closure gives.  When a few dozen seeds are left, they
+   are finished by _close_pylist.
 
-  1. Prefix stage (classes 1 and 3).  A condition that does not read the
-     last index axis is tested once per prefix idx // radix, on values
-     decoded at the prefix's first index: class 3 keeps Zp in s1, class 1
-     tests a weakened form of its ay and bx checks, or |wx|, |wy| <= eps
-     for a possible Cayley seed.  Only kept prefixes are expanded over the
-     last axis (31 or 83 values) and decoded in full.
-  2. Cayley seeds are counted on the expanded seeds.
-  3. The shell checks run one at a time, most rejecting first, and the
-     seed columns are compacted after each one.  Class 1 leaves out its
-     first shell, whose images are s1 values by construction.
-  4. Cayley seeds are dropped from the candidates, which a lockstep
-     closure settles in batches of up to _LOCKSTEP_ROWS seeds: every seed
-     of a batch advances one BFS slot per numpy iteration, with the float
-     operations of _close_pylist in the same order, so each gets the result
-     the per-seed closure gives.  When a few dozen seeds are left, they
-     are finished by _close_pylist.
+Dictionary membership is an O(1) bucket lookup that returns the same
+bracketing entries as np.searchsorted.
 
-  Dictionary membership is an O(1) bucket lookup that returns the same
-  bracketing entries as np.searchsorted.
-
-The prefilter conditions are strictly weaker than the closure's accept
-conditions, so both backends produce identical survivor lists and
-statistics.  The staging keeps that: every condition tested is one of
-the checks or a consequence of one, so a seed a stage drops fails the
-full conjunction too, and evaluation order does not change a
-conjunction.  The class-1 first-shell checks, the only ones left out,
-are shown never to fail; and a seed failing one would be rejected anyway
-by the closure's first step, which tests the same image with a tighter
-tolerance.  All work here is double precision with a tolerance well
-below half the minimal dictionary gap; nothing reported from this module
-is trusted without the exact confirmation pass.
+The prefilter conditions are weaker than the closure's accept
+conditions, so the scan returns the survivors, sizes and statistics
+that _close_pylist gives when run on every seed of the range (class 3
+keeping only seeds with Zp in s1, and Cayley seeds counted, not closed);
+tests/test_orbit_search.py checks this against that per-seed loop.  The
+staging keeps it: every condition tested is one of the checks or a
+consequence of one, so a seed a stage drops fails the full conjunction
+too, and evaluation order does not change a conjunction.  The class-1
+first-shell checks, the only ones left out, are shown never to fail; and
+a seed failing one would be rejected anyway by the closure's first step,
+which tests the same image with a tighter tolerance.  All work here is
+double precision with a tolerance well below half the minimal dictionary
+gap; nothing reported from this module is trusted without the exact
+confirmation pass.
 """
 
 from __future__ import annotations
 
+import bisect
 import os
 from typing import NamedTuple, Tuple
 
 import numpy as np
 
-try:  # pragma: no cover - exercised implicitly by backend tests
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    numba = None
-    HAVE_NUMBA = False
-
 __all__ = [
     "CAP",
     "CHUNK",
-    "HAVE_NUMBA",
     "ScanTables",
     "backend_name",
     "class_size",
@@ -87,19 +79,18 @@ CHUNK = 1 << 20
 
 
 def backend_name() -> str:
-    """The backend FRICKE_ORBITS_BACKEND forces, else the fastest installed.
+    """The scan backend, "numpy", the only one there is.
 
-    Raises ValueError, naming the variable, for an unknown value or for
-    numba forced while it is not installed.
+    Raises ValueError, naming the variable, when FRICKE_ORBITS_BACKEND is
+    set to anything but numpy.
     """
     forced = os.environ.get("FRICKE_ORBITS_BACKEND", "").strip().lower()
-    if not forced:
-        return "numba" if HAVE_NUMBA else "numpy"
-    if forced not in ("numba", "numpy"):
-        raise ValueError("FRICKE_ORBITS_BACKEND must be numba or numpy, got %r" % forced)
-    if forced == "numba" and not HAVE_NUMBA:
-        raise ValueError("FRICKE_ORBITS_BACKEND=numba but numba is not installed")
-    return forced
+    if forced not in ("", "numpy"):
+        raise ValueError(
+            "FRICKE_ORBITS_BACKEND must be numpy or unset, got %r; numba support "
+            "was removed" % forced
+        )
+    return "numpy"
 
 
 class ScanTables(NamedTuple):
@@ -138,275 +129,23 @@ def class_size(cls: int, t: ScanTables) -> int:
     raise ValueError("class must be 1..4")
 
 
-# ---------------------------------------------------------------------------
-# closure core (single source; compiled and plain execution)
-
-
-def _close_impl(pc, nb, X, Y, Z, wx, wy, wz, s4, eps):
-    # pc: float64 (3, CAP) coordinates; nb: int64 (3, CAP) neighbor slots,
-    # -1 unknown, own index = fixed point.  Returns the closed size, 0 for
-    # "cannot be finite", -1 for cap overflow.
-    cap = pc.shape[1]
-    pc[0, 0] = X
-    pc[1, 0] = Y
-    pc[2, 0] = Z
-    nb[0, 0] = -1
-    nb[1, 0] = -1
-    nb[2, 0] = -1
-    n = 1
-    i = 0
-    while i < n:
-        c = 0
-        while c < 3:
-            if nb[c, i] >= 0:
-                c += 1
-                continue
-            o1 = 1 if c == 0 else 0
-            o2 = 1 if c == 2 else 2
-            if c == 0:
-                w = wx
-            elif c == 1:
-                w = wy
-            else:
-                w = wz
-            v = w - pc[c, i] - pc[o1, i] * pc[o2, i]
-            found = -1
-            j = 0
-            while j < n:
-                if (
-                    abs(pc[c, j] - v) <= eps
-                    and abs(pc[o1, j] - pc[o1, i]) <= eps
-                    and abs(pc[o2, j] - pc[o2, i]) <= eps
-                ):
-                    found = j
-                    break
-                j += 1
-            if found >= 0:
-                if nb[c, found] != -1:
-                    return 0
-                nb[c, i] = found
-                nb[c, found] = i
-                c += 1
-                continue
-            k = np.searchsorted(s4, v)
-            good = False
-            if k < s4.shape[0] and abs(s4[k] - v) <= eps:
-                good = True
-            elif k > 0 and abs(s4[k - 1] - v) <= eps:
-                good = True
-            if good:
-                if n >= cap:
-                    return -1
-                pc[c, n] = v
-                pc[o1, n] = pc[o1, i]
-                pc[o2, n] = pc[o2, i]
-                nb[0, n] = -1
-                nb[1, n] = -1
-                nb[2, n] = -1
-                nb[c, n] = i
-                nb[c, i] = n
-                n += 1
-                c += 1
-                continue
-            a1 = pc[o1, i]
-            a2 = pc[o2, i]
-            if o1 == 0:
-                w1 = wx
-            elif o1 == 1:
-                w1 = wy
-            else:
-                w1 = wz
-            if o2 == 1:
-                w2 = wy
-            else:
-                w2 = wz
-            if abs(2.0 * a1 + v * a2 - w1) <= eps and abs(2.0 * a2 + v * a1 - w2) <= eps:
-                if n >= cap:
-                    return -1
-                pc[c, n] = v
-                pc[o1, n] = a1
-                pc[o2, n] = a2
-                nb[c, n] = i
-                nb[o1, n] = n
-                nb[o2, n] = n
-                nb[c, i] = n
-                n += 1
-                c += 1
-                continue
-            return 0
-        i += 1
-    return n
-
-
 def _omega4(X, Y, Z, wx, wy, wz):
     return 4.0 + wx * X + wy * Y + wz * Z - (X * Y * Z + X * X + Y * Y + Z * Z)
 
 
-def _make_scan1(close, omega4):
-    def scan(start, stop, skip, c1x, c1y, c1z, s1, s4, eps, out_idx, out_size):
-        pc = np.empty((3, CAP), np.float64)
-        nb = np.empty((3, CAP), np.int64)
-        m = 0
-        nproc = 0
-        ncay = 0
-        ncap = 0
-        for idx in range(start, stop):
-            if idx == skip:
-                continue
-            nproc += 1
-            t = idx // 29791
-            r = idx - t * 29791
-            a = r // 961
-            r2 = r - a * 961
-            b = r2 // 31
-            cc = r2 - b * 31
-            X = c1x[t]
-            Y = c1y[t]
-            Z = c1z[t]
-            wx = X + s1[a] + Y * Z
-            wy = Y + s1[b] + X * Z
-            wz = Z + s1[cc] + X * Y
-            w4 = omega4(X, Y, Z, wx, wy, wz)
-            if abs(wx) <= eps and abs(wy) <= eps and abs(wz) <= eps and abs(w4) <= eps:
-                ncay += 1
-                continue
-            res = close(pc, nb, X, Y, Z, wx, wy, wz, s4, eps)
-            if res == -1:
-                ncap += 1
-            elif res > 0:
-                out_idx[m] = idx
-                out_size[m] = res
-                m += 1
-        return m, nproc, ncay, ncap
-
-    return scan
-
-
-def _make_scan2(close, omega4):
-    def scan(start, stop, p2y, p2z, s4, eps, out_idx, out_size):
-        pc = np.empty((3, CAP), np.float64)
-        nb = np.empty((3, CAP), np.int64)
-        m = 0
-        nproc = 0
-        ncay = 0
-        ncap = 0
-        for idx in range(start, stop):
-            nproc += 1
-            t = idx // 6889
-            r = idx - t * 6889
-            iX = r // 83
-            iYp = r - iX * 83
-            Y = p2y[t]
-            Z = p2z[t]
-            X = s4[iX]
-            Yp = s4[iYp]
-            Xp = X + (Yp - Y) / Z
-            wx = X + Xp + Y * Z
-            wy = Y + Yp + X * Z
-            wz = 2.0 * Z + Xp * Y
-            w4 = omega4(X, Y, Z, wx, wy, wz)
-            if abs(wx) <= eps and abs(wy) <= eps and abs(wz) <= eps and abs(w4) <= eps:
-                ncay += 1
-                continue
-            res = close(pc, nb, X, Y, Z, wx, wy, wz, s4, eps)
-            if res == -1:
-                ncap += 1
-            elif res > 0:
-                out_idx[m] = idx
-                out_size[m] = res
-                m += 1
-        return m, nproc, ncay, ncap
-
-    return scan
-
-
-def _make_scan3(close, omega4):
-    def scan(start, stop, p3y, p3z, s1, s4, eps, out_idx, out_size):
-        pc = np.empty((3, CAP), np.float64)
-        nb = np.empty((3, CAP), np.int64)
-        m = 0
-        nproc = 0
-        ncay = 0
-        ncap = 0
-        for idx in range(start, stop):
-            nproc += 1
-            t = idx // 213559
-            r = idx - t * 213559
-            iYp = r // 6889
-            r2 = r - iYp * 6889
-            iX = r2 // 83
-            iXp = r2 - iX * 83
-            Y = p3y[t]
-            Z = p3z[t]
-            Yp = s1[iYp]
-            X = s4[iX]
-            Xp = s4[iXp]
-            Zp = (Y + Yp + X * Z) - Z - X * Y
-            k = np.searchsorted(s1, Zp)
-            good = False
-            if k < s1.shape[0] and abs(s1[k] - Zp) <= eps:
-                good = True
-            elif k > 0 and abs(s1[k - 1] - Zp) <= eps:
-                good = True
-            if not good:
-                continue
-            wx = X + Xp + Y * Z
-            wy = Y + Yp + X * Z
-            wz = wy
-            w4 = omega4(X, Y, Z, wx, wy, wz)
-            if abs(wx) <= eps and abs(wy) <= eps and abs(wz) <= eps and abs(w4) <= eps:
-                ncay += 1
-                continue
-            res = close(pc, nb, X, Y, Z, wx, wy, wz, s4, eps)
-            if res == -1:
-                ncap += 1
-            elif res > 0:
-                out_idx[m] = idx
-                out_size[m] = res
-                m += 1
-        return m, nproc, ncay, ncap
-
-    return scan
-
-
-def _make_scan4(close, omega4):
-    def scan(start, stop, c4x, c4y, c4z, s4, eps, out_idx, out_size):
-        pc = np.empty((3, CAP), np.float64)
-        nb = np.empty((3, CAP), np.int64)
-        m = 0
-        nproc = 0
-        ncay = 0
-        ncap = 0
-        for idx in range(start, stop):
-            nproc += 1
-            t = idx // 83
-            iXp = idx - t * 83
-            X = c4x[t]
-            Y = c4y[t]
-            Z = c4z[t]
-            wc = X + s4[iXp] + Y * Z
-            w4 = omega4(X, Y, Z, wc, wc, wc)
-            if abs(wc) <= eps and abs(w4) <= eps:
-                ncay += 1
-                continue
-            res = close(pc, nb, X, Y, Z, wc, wc, wc, s4, eps)
-            if res == -1:
-                ncap += 1
-            elif res > 0:
-                out_idx[m] = idx
-                out_size[m] = res
-                m += 1
-        return m, nproc, ncay, ncap
-
-    return scan
+# ---------------------------------------------------------------------------
+# per-seed float closure
 
 
 def _close_pylist(X, Y, Z, wx, wy, wz, s4, eps):
-    """List-based twin of _close_impl: same operations in the same order,
-    so every branch decision matches the compiled version bit for bit.
-    Returns (result, [px, py, pz], [nx, ny, nz])."""
+    """The closure of one seed over the sorted dictionary list s4.
 
-    import bisect
+    Points are kept as coordinate lists and neighbor slots as index lists,
+    -1 while unknown and the point's own index at a fixed point.  Returns
+    (result, [px, py, pz], [nx, ny, nz]), the result being the closed
+    size, 0 for "cannot be finite" or -1 past CAP points.
+    _close_lockstep runs the same float operations in the same order.
+    """
 
     P = ([X], [Y], [Z])
     N = ([-1], [-1], [-1])
@@ -473,77 +212,6 @@ def _close_pylist(X, Y, Z, wx, wy, wz, s4, eps):
     return n, P, N
 
 
-_close_py = _close_impl
-_SCAN_PY = {
-    1: _make_scan1(_close_py, _omega4),
-    2: _make_scan2(_close_py, _omega4),
-    3: _make_scan3(_close_py, _omega4),
-    4: _make_scan4(_close_py, _omega4),
-}
-
-_NB_CACHE: dict = {}
-
-
-def _compiled_close():
-    if "close" not in _NB_CACHE:
-        _NB_CACHE["close"] = numba.njit(nogil=True, fastmath=False)(_close_impl)
-    return _NB_CACHE["close"]
-
-
-def _compiled_scans():
-    if 1 not in _NB_CACHE:
-        jit = numba.njit(nogil=True, fastmath=False)
-        close_nb = _compiled_close()
-        omega4_nb = jit(_omega4)
-        _NB_CACHE[1] = jit(_make_scan1(close_nb, omega4_nb))
-        _NB_CACHE[2] = jit(_make_scan2(close_nb, omega4_nb))
-        _NB_CACHE[3] = jit(_make_scan3(close_nb, omega4_nb))
-        _NB_CACHE[4] = jit(_make_scan4(close_nb, omega4_nb))
-    return _NB_CACHE
-
-
-# ---------------------------------------------------------------------------
-# plain helpers
-
-
-def decode_float(cls: int, idx: int, t: ScanTables) -> Tuple[float, ...]:
-    """Seed (X, Y, Z, wx, wy, wz, w4) of one flat configuration index."""
-
-    if cls == 1:
-        ti, r = divmod(idx, 29791)
-        a, r2 = divmod(r, 961)
-        b, cc = divmod(r2, 31)
-        X, Y, Z = t.c1x[ti], t.c1y[ti], t.c1z[ti]
-        wx = X + t.s1[a] + Y * Z
-        wy = Y + t.s1[b] + X * Z
-        wz = Z + t.s1[cc] + X * Y
-    elif cls == 2:
-        ti, r = divmod(idx, 6889)
-        iX, iYp = divmod(r, 83)
-        Y, Z = t.p2y[ti], t.p2z[ti]
-        X, Yp = t.s4[iX], t.s4[iYp]
-        Xp = X + (Yp - Y) / Z
-        wx = X + Xp + Y * Z
-        wy = Y + Yp + X * Z
-        wz = 2.0 * Z + Xp * Y
-    elif cls == 3:
-        ti, r = divmod(idx, 213559)
-        iYp, r2 = divmod(r, 6889)
-        iX, iXp = divmod(r2, 83)
-        Y, Z = t.p3y[ti], t.p3z[ti]
-        X, Xp, Yp = t.s4[iX], t.s4[iXp], t.s1[iYp]
-        wx = X + Xp + Y * Z
-        wy = Y + Yp + X * Z
-        wz = wy
-    elif cls == 4:
-        ti, iXp = divmod(idx, 83)
-        X, Y, Z = t.c4x[ti], t.c4y[ti], t.c4z[ti]
-        wx = wy = wz = X + t.s4[iXp] + Y * Z
-    else:
-        raise ValueError("class must be 1..4")
-    return X, Y, Z, wx, wy, wz, _omega4(X, Y, Z, wx, wy, wz)
-
-
 def close_float(X, Y, Z, wx, wy, wz, s4, eps, want_points=False):
     """Run the closure on one float seed.
 
@@ -551,14 +219,6 @@ def close_float(X, Y, Z, wx, wy, wz, s4, eps, want_points=False):
     (size, coords[3, size], slots[3, size]).
     """
 
-    if HAVE_NUMBA:
-        pc = np.empty((3, CAP), np.float64)
-        nb = np.empty((3, CAP), np.int64)
-        res = _compiled_close()(pc, nb, X, Y, Z, wx, wy, wz, np.asarray(s4), eps)
-        if not want_points:
-            return res
-        n = max(res, 0)
-        return res, pc[:, :n].copy(), nb[:, :n].copy()
     res, P, N = _close_pylist(X, Y, Z, wx, wy, wz, list(s4), eps)
     if not want_points:
         return res
@@ -571,7 +231,7 @@ def close_float(X, Y, Z, wx, wy, wz, s4, eps, want_points=False):
 
 
 # ---------------------------------------------------------------------------
-# numpy backend: staged necessary conditions, then the shared closure
+# the scan: staged necessary conditions, then the lockstep closure
 
 
 class _Lookup:
@@ -734,7 +394,8 @@ def _prefix_keep(cls: int, pref: np.ndarray, t: ScanTables, eps: float, look1, l
 
 
 def _decode_vec(cls: int, idx: np.ndarray, t: ScanTables):
-    """(X, Y, Z, wx, wy, wz) of flat indices, as decode_float computes them."""
+    """(X, Y, Z, wx, wy, wz) of flat indices: float arrays, one entry per
+    index.  Raises ValueError for a class outside 1..4."""
 
     if cls == 1:
         ti, r = np.divmod(idx, 29791)
@@ -762,13 +423,22 @@ def _decode_vec(cls: int, idx: np.ndarray, t: ScanTables):
         wx = X + Xp + Y * Z
         wy = Y + Yp + X * Z
         wz = wy
-    else:
+    elif cls == 4:
         ti, iXp = np.divmod(idx, 83)
         X, Y, Z = t.c4x[ti], t.c4y[ti], t.c4z[ti]
         wx = X + t.s4[iXp] + Y * Z
         wy = wx
         wz = wx
+    else:
+        raise ValueError("class must be 1..4")
     return X, Y, Z, wx, wy, wz
+
+
+def decode_float(cls: int, idx: int, t: ScanTables) -> Tuple[float, ...]:
+    """Seed (X, Y, Z, wx, wy, wz, w4) of one flat configuration index."""
+
+    seed = [float(v[0]) for v in _decode_vec(cls, np.array([idx]), t)]
+    return (*seed, _omega4(*seed))
 
 
 _NUMPY_BLOCK = 1 << 16
@@ -876,17 +546,21 @@ def _close_lockstep(seeds: np.ndarray, look4: _Lookup, s4list, eps: float) -> np
     return res
 
 
-def _scan_chunk_numpy(cls, start, stop, t: ScanTables, eps):
-    """Staged prefilter, then the lockstep closure on its candidates.
+def scan_chunk(cls: int, start: int, stop: int, t: ScanTables, eps: float, backend: str):
+    """Scan one contiguous index range; returns (idx, size, processed, cayley, cap).
 
-    A block covers _NUMPY_BLOCK // radix prefixes, so that neither it nor
-    its expansion exceeds _NUMPY_BLOCK seeds.  The stages are those of the
+    backend must be "numpy", the one scan there is; anything else raises
+    ValueError.  The staged prefilter runs block by block, a block
+    covering _NUMPY_BLOCK // radix prefixes, so that neither it nor its
+    expansion exceeds _NUMPY_BLOCK seeds.  The stages are those of the
     module docstring.  The candidates are gathered across blocks in index
     order and closed _LOCKSTEP_ROWS at a time, each with the result the
     per-seed closure gives, so the output is that of the full conjunction
     evaluated on every seed.
     """
 
+    if backend != "numpy":
+        raise ValueError("unknown backend %r" % backend)
     look1, look4 = _Lookup(t.s1), _Lookup(t.s4)
     s4list = t.s4.tolist()
     radix = _RADIX[cls]
@@ -929,38 +603,3 @@ def _scan_chunk_numpy(cls, start, stop, t: ScanTables, eps):
     close(len(pend))
     return out_idx, out_size, nproc, ncay, ncap
 
-
-def _scan_chunk_loop(cls, start, stop, t: ScanTables, eps, scans):
-    out_idx = np.empty(stop - start, np.int64)
-    out_size = np.empty(stop - start, np.int64)
-    if cls == 1:
-        m, nproc, ncay, ncap = scans[1](
-            start, stop, t.skip1, t.c1x, t.c1y, t.c1z, t.s1, t.s4, eps, out_idx, out_size
-        )
-    elif cls == 2:
-        m, nproc, ncay, ncap = scans[2](
-            start, stop, t.p2y, t.p2z, t.s4, eps, out_idx, out_size
-        )
-    elif cls == 3:
-        m, nproc, ncay, ncap = scans[3](
-            start, stop, t.p3y, t.p3z, t.s1, t.s4, eps, out_idx, out_size
-        )
-    elif cls == 4:
-        m, nproc, ncay, ncap = scans[4](
-            start, stop, t.c4x, t.c4y, t.c4z, t.s4, eps, out_idx, out_size
-        )
-    else:
-        raise ValueError("class must be 1..4")
-    return list(out_idx[:m]), list(out_size[:m]), nproc, ncay, ncap
-
-
-def scan_chunk(cls: int, start: int, stop: int, t: ScanTables, eps: float, backend: str):
-    """Scan one contiguous index range; returns (idx, size, processed, cayley, cap)."""
-
-    if backend == "numba":
-        return _scan_chunk_loop(cls, start, stop, t, eps, _compiled_scans())
-    if backend == "numpy":
-        return _scan_chunk_numpy(cls, start, stop, t, eps)
-    if backend == "plain":  # reference path, test use only
-        return _scan_chunk_loop(cls, start, stop, t, eps, _SCAN_PY)
-    raise ValueError("unknown backend %r" % backend)

@@ -5,7 +5,7 @@ enumeration and prints the orbit table with its configuration counters,
 `verify` compares a run against the embedded reference table (or an
 external JSON golden file), `graph` emits DOT or statistics for one
 orbit, and `cosine`, `theta`, `cayley`, `bt` expose the corresponding
-module operations.  `bench` times the scan kernels on both backends.
+module operations.  `bench` times the float scan of each class.
 
 Output rules: everything written to stdout (or --out) depends only on
 the inputs, never on thread count or timing, so repeated runs are byte
@@ -142,7 +142,6 @@ class RunConfig:
     exact_verify: bool = True
     fmt: str = "text"
     out: Optional[str] = None
-    backend: Optional[str] = None
 
     def validate(self) -> None:
         check_search_args(self.threads, self.eps)
@@ -163,7 +162,6 @@ def _run_search(cfg: RunConfig, result: Optional[SearchResult]) -> SearchResult:
         threads=cfg.threads,
         eps=cfg.eps,
         exact_verify=cfg.exact_verify,
-        backend=cfg.backend,
     )
 
 
@@ -489,37 +487,21 @@ def cmd_bt(cfg: RunConfig, name: str, theta_str: str) -> int:
 # kernel benchmark
 
 
-def cmd_bench(cfg: RunConfig, span: int, backends: Sequence[str]) -> int:
+def cmd_bench(cfg: RunConfig, span: int) -> int:
     cfg.validate()
-    tables = get_search_tables()
-    kt = tables.kernel
-    lines = []
-    baseline = None
-    for backend in backends:
-        if backend == "numba" and not _kernels.HAVE_NUMBA:
-            print("bench: numba unavailable, skipping", file=sys.stderr)
-            continue
-        total = 0.0
-        per_class = []
-        chunks = []
-        for cls in (1, 2, 3, 4):
-            n = min(span, _kernels.class_size(cls, kt))
-            _kernels.scan_chunk(cls, 0, min(n, 1024), kt, cfg.eps, backend)  # warm up
-            t0 = time.perf_counter()
-            out = _kernels.scan_chunk(cls, 0, n, kt, cfg.eps, backend)
-            dt = time.perf_counter() - t0
-            total += dt
-            per_class.append(f"class{cls}={1e9 * dt / max(n, 1):.0f}ns/cfg")
-            chunks.append(out)
-        if baseline is None:
-            baseline = chunks
-        else:
-            for cls, (a, b) in enumerate(zip(baseline, chunks), start=1):
-                if a != b:
-                    print(f"bench: backend disagreement in class {cls}", file=sys.stderr)
-                    return 3
-        lines.append(f"{backend}: total={total:.2f}s " + " ".join(per_class))
-    _emit("\n".join(lines) + "\n", cfg.out)
+    backend = _kernels.backend_name()
+    kt = get_search_tables().kernel
+    total = 0.0
+    per_class = []
+    for cls in (1, 2, 3, 4):
+        n = min(span, _kernels.class_size(cls, kt))
+        _kernels.scan_chunk(cls, 0, min(n, 1024), kt, cfg.eps, backend)  # warm up
+        t0 = time.perf_counter()
+        _kernels.scan_chunk(cls, 0, n, kt, cfg.eps, backend)
+        dt = time.perf_counter() - t0
+        total += dt
+        per_class.append(f"class{cls}={1e9 * dt / max(n, 1):.0f}ns/cfg")
+    _emit(f"{backend}: total={total:.2f}s " + " ".join(per_class) + "\n", cfg.out)
     return 0
 
 
@@ -539,8 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("text", "json", "csv", "dot"),
                         help="output format")
     common.add_argument("--out", default=None, help="write output to this path")
-    common.add_argument("--backend", default=None, choices=("numba", "numpy"),
-                        help="scan kernel backend (default: numba if available)")
 
     ap = argparse.ArgumentParser(
         prog="fricke-orbits",
@@ -578,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--name", required=True, choices=BT_NAMES)
     b.add_argument("--theta", required=True, help="four comma-separated rationals")
 
-    n = sub.add_parser("bench", parents=[common], help="time the scan kernels per backend")
+    n = sub.add_parser("bench", parents=[common], help="time the float scan per class")
     n.add_argument("--span", type=int, default=1 << 17,
                    help="configurations per class (default 131072)")
 
@@ -592,7 +572,6 @@ def _config_from(args: argparse.Namespace, default_fmt: str = "text") -> RunConf
         exact_verify=not args.no_exact_verify,
         fmt=args.fmt or default_fmt,
         out=args.out,
-        backend=args.backend,
     )
 
 
@@ -618,8 +597,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "bt":
             return cmd_bt(_config_from(args), args.name, args.theta)
         if args.command == "bench":
-            backends = (args.backend,) if args.backend else ("numba", "numpy")
-            return cmd_bench(_config_from(args), args.span, backends)
+            return cmd_bench(_config_from(args), args.span)
         raise ValueError(f"unknown command {args.command!r}")
     except CapError as exc:
         print(f"internal failure: {exc}", file=sys.stderr)

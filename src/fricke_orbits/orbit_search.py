@@ -258,17 +258,10 @@ def get_search_tables() -> SearchTables:
 
 
 def class_counter(cls: int) -> int:
-    """Number of configurations the scan of one arena processes."""
+    """Number of configurations the scan of one arena processes: its index
+    space less, in class 1, the skipped duplicate of the all-zero seed."""
 
-    if cls == 1:
-        return 1632 * 31 ** 3 - 1
-    if cls == 2:
-        return 902 * 83 * 83
-    if cls == 3:
-        return 256 * 31 * 83 * 83
-    if cls == 4:
-        return math.comb(85, 3) * 83
-    raise ValueError("class must be 1..4")
+    return _kernels.class_size(cls, get_search_tables().kernel) - int(cls == 1)
 
 
 @dataclass(frozen=True)
@@ -659,16 +652,18 @@ def full_search(
     """Scan all four arenas and return the verified exceptional orbits.
 
     The result list is sorted by (size, canonical key) and is identical
-    for every thread count and backend: work is split into fixed chunks
-    merged in index order, and all decisions downstream of the float
-    scan are exact.  Arguments failing check_search_args raise ValueError
-    before anything is scanned.
+    for every thread count: work is split into fixed chunks merged in
+    index order, and all decisions downstream of the float scan are
+    exact.  Arguments failing check_search_args, and a backend other than
+    None or "numpy", raise ValueError before anything is scanned.
     """
 
     t0 = time.perf_counter()
     check_search_args(threads, eps)
     if backend is None:
         backend = _kernels.backend_name()
+    if backend != "numpy":
+        raise ValueError(f"backend must be numpy, got {backend!r}")
     if threads is None:
         threads = _threads_from_env()
     tables = get_search_tables()
@@ -680,10 +675,6 @@ def full_search(
         for start in range(0, size, _kernels.CHUNK):
             tasks.append((cls, start, min(size, start + _kernels.CHUNK)))
     total = sum(b - a for _, a, b in tasks)
-
-    if backend == "numba":
-        for cls in (1, 2, 3, 4):  # compile outside the pool
-            _kernels.scan_chunk(cls, 0, 0, kt, eps, backend)
 
     def run(task):
         cls, a, b = task

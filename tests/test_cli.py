@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from fricke_orbits import _kernels
 from fricke_orbits.cli import (
     RunConfig,
     cmd_graph,
@@ -106,12 +105,20 @@ def test_main_maps_malformed_environment_to_exit_2(monkeypatch, capsys, name, va
     assert captured.out == ""
 
 
-@pytest.mark.skipif(_kernels.HAVE_NUMBA, reason="numba is installed")
 def test_main_maps_forced_missing_numba_to_exit_2(monkeypatch, capsys):
     monkeypatch.setenv("FRICKE_ORBITS_BACKEND", "numba")
     assert main(["search"]) == 2
     err = capsys.readouterr().err
     assert "FRICKE_ORBITS_BACKEND" in err and "Traceback" not in err
+    assert "numba support was removed" in err
+
+
+def test_main_rejects_backend_flag_as_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--backend", "numba"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--backend" in err and "Traceback" not in err
 
 
 def test_main_usage_error_exits_2():
@@ -342,7 +349,7 @@ def test_verify_records_reports_excess_orbit(search_result):
 
 
 def test_bench_subcommand(capsys):
-    assert main(["bench", "--span", "2048", "--backend", "numpy"]) == 0
+    assert main(["bench", "--span", "2048"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("numpy: total=")
     assert "class4=" in out

@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 from fractions import Fraction
@@ -35,7 +36,6 @@ from fricke_orbits.trig_field import cos_value, from_rational
 D = get_dictionaries()
 T = get_search_tables()
 KT = T.kernel
-BACKENDS = ["plain", "numpy"] + (["numba"] if _kernels.HAVE_NUMBA else [])
 
 
 # ---------------------------------------------------------------------------
@@ -362,55 +362,47 @@ def test_close_float_worked_example():
     (3, 30 * 213559 - 71_201, 30 * 213559 + 40_000),
     (1, 1_707_090, 1_707_125),
     (3, 1_000_005, 1_000_070),
-    # the empty range, which full_search uses to compile the numba loops
     (1, 0, 0),
     (2, 0, 0),
     (3, 0, 0),
     (4, 0, 0),
 ])
 def test_backend_parity(cls, start, stop):
-    results = [
-        _kernels.scan_chunk(cls, start, stop, KT, EPS, b) for b in BACKENDS
-    ]
-    for other in results[1:]:
-        assert other == results[0]
+    # the numpy scan, the production path, against the per-seed reference
+    out = _kernels.scan_chunk(cls, start, stop, KT, EPS, "numpy")
+    assert out == _per_seed_reference(cls, start, stop)
 
 
-def _scan_reference(cls, start, stop):
-    """The numpy scan as it was before the lockstep closure: the same
-    staged prefilter, then _close_pylist on each candidate in index order."""
+def _per_seed_reference(cls, start, stop):
+    """scan_chunk's output computed one seed at a time: the seed and w4 as
+    decode_float gives them, for class 3 the index filter Zp in s1, the
+    Cayley test, then _close_pylist on every other seed.  The seeds are
+    decoded in one _decode_vec call, which decode_float makes per index."""
 
-    t, eps = KT, EPS
-    look1, look4 = _kernels._Lookup(t.s1), _kernels._Lookup(t.s4)
-    s4list = t.s4.tolist()
-    radix = _kernels._RADIX[cls]
+    s1, s4 = KT.s1.tolist(), KT.s4.tolist()
     out_idx, out_size = [], []
-    nproc = max(0, stop - start) - int(cls == 1 and start <= t.skip1 < stop)
-    ncay = ncap = 0
-    first, last = start // radix, -(-stop // radix)
-    step = _kernels._NUMPY_BLOCK // radix
-    for a in range(first, last, step):
-        idx = np.arange(a, min(last, a + step), dtype=np.int64)
-        if radix > 1:
-            idx = idx[_kernels._prefix_keep(cls, idx, t, eps, look1, look4)]
-            idx = (idx[:, None] * radix + np.arange(radix)).ravel()
-            idx = idx[np.searchsorted(idx, start):np.searchsorted(idx, stop)]
-        if cls == 1:
-            idx = idx[idx != t.skip1]
-        cols = _kernels._Cols(zip(_kernels._SEED, _kernels._decode_vec(cls, idx, t)))
-        cols["idx"] = idx
-        ncay += int(np.count_nonzero(_kernels._cayley(cols, eps)))
-        for name in _kernels._ORDER[cls]:
-            cols = cols.take(_kernels._check(cols, name, look4, eps))
-        cols = cols.take(~_kernels._cayley(cols, eps))
-        seeds = zip(*(cols[k].tolist() for k in ("idx",) + _kernels._SEED))
-        for i, X, Y, Z, wx, wy, wz in seeds:
-            res, _, _ = _kernels._close_pylist(X, Y, Z, wx, wy, wz, s4list, eps)
-            if res == -1:
-                ncap += 1
-            elif res > 0:
-                out_idx.append(i)
-                out_size.append(res)
+    nproc = ncay = ncap = 0
+    idxs = np.arange(start, stop)
+    seeds = np.stack(_kernels._decode_vec(cls, idxs, KT), axis=1).tolist()
+    for idx, (X, Y, Z, wx, wy, wz) in zip(idxs.tolist(), seeds):
+        if cls == 1 and idx == KT.skip1:
+            continue
+        nproc += 1
+        w4 = _kernels._omega4(X, Y, Z, wx, wy, wz)
+        if cls == 3:
+            zp = wz - Z - X * Y
+            k = bisect.bisect_left(s1, zp)
+            if not any(abs(d - zp) <= EPS for d in s1[max(k - 1, 0):k + 1]):
+                continue
+        if max(abs(wx), abs(wy), abs(wz), abs(w4)) <= EPS:
+            ncay += 1
+            continue
+        res = _kernels._close_pylist(X, Y, Z, wx, wy, wz, s4, EPS)[0]
+        if res == -1:
+            ncap += 1
+        elif res > 0:
+            out_idx.append(idx)
+            out_size.append(res)
     return out_idx, out_size, nproc, ncay, ncap
 
 
@@ -420,7 +412,7 @@ def test_numpy_scan_matches_per_seed_closure_on_heavy_blocks(cls):
     # the closure (class 1: about 32,000), so they fill many lockstep
     # batches and reach the hand-off to the per-seed closure
     out = _kernels.scan_chunk(cls, 0, 1 << 17, KT, EPS, "numpy")
-    assert out == _scan_reference(cls, 0, 1 << 17)
+    assert out == _per_seed_reference(cls, 0, 1 << 17)
     assert len(out[0]) > 100
 
 
@@ -574,13 +566,13 @@ def test_class1_first_shell_checks_cannot_fail(image, radix):
 
 def test_scan_skips_duplicate_zero_seed():
     skip = KT.skip1
-    out = _kernels.scan_chunk(1, skip - 5, skip + 5, KT, EPS, "plain")
+    out = _kernels.scan_chunk(1, skip - 5, skip + 5, KT, EPS, "numpy")
     assert out[2] == 9  # processed
 
 
 def test_float_survivors_match_exact_closure():
     # every float survivor in a slice must close exactly at the same size
-    idxs, sizes, _, _, _ = _kernels.scan_chunk(2, 0, 30000, KT, EPS, "plain")
+    idxs, sizes, _, _, _ = _kernels.scan_chunk(2, 0, 30000, KT, EPS, "numpy")
     assert idxs, "slice should contain survivors"
     for idx, fsz in zip(idxs[:60], sizes[:60]):
         g = decode_config(2, idx)
@@ -590,7 +582,7 @@ def test_float_survivors_match_exact_closure():
 
 def test_float_rejections_match_exact_closure():
     # and slice configs the scan rejected must not close exactly either
-    idxs, _, _, _, _ = _kernels.scan_chunk(3, 0, 9000, KT, EPS, "plain")
+    idxs, _, _, _, _ = _kernels.scan_chunk(3, 0, 9000, KT, EPS, "numpy")
     surviving = set(idxs)
     rng = random.Random(4)
     checked = 0
