@@ -29,7 +29,14 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .trig_field import CosSum, compare, compare_tuples, cos_value, from_rational
+from .trig_field import (
+    ORDER_TIE_EPS,
+    CosSum,
+    compare,
+    compare_tuples,
+    cos_value,
+    from_rational,
+)
 
 Point3 = Tuple[CosSum, CosSum, CosSum]
 
@@ -92,7 +99,16 @@ def omega4_of(p: Point3, wx: CosSum, wy: CosSum, wz: CosSum) -> CosSum:
 
 
 def points_equal(p: Point3, q: Point3) -> bool:
-    return all((a - b).is_zero() for a, b in zip(p, q))
+    """Exact equality of points, separated on cached floats first.
+
+    A coordinate pair whose cached floats differ by more than ORDER_TIE_EPS
+    is unequal, by the float error bound compare's fast path rests on; only
+    pairs inside that band with different terms are decided exactly.
+    """
+    for a, b in zip(p, q):
+        if abs(a._float - b._float) > ORDER_TIE_EPS:
+            return False
+    return all(a.terms == b.terms or (a - b).is_zero() for a, b in zip(p, q))
 
 
 class PointSet:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from bisect import bisect_left
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -52,7 +51,6 @@ from .trig_field import (
     CosSum,
     compare_tuples,
     cos_value,
-    from_rational,
     match_dictionary,
 )
 

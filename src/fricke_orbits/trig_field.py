@@ -5,6 +5,15 @@ parameters, dictionary entries) lives in this ring.  A value is stored as a
 finite Q-linear combination of terms 2cos(pi*num/den); the product rule
 2cosA*2cosB = 2cos(A+B) + 2cos(A-B) keeps the ring closed.
 
+Terms are canonical: each key (num, den) is an angle folded into [0, 1] in
+lowest terms, (1, 2) never occurs since 2cos(pi/2) = 0, no coefficient is
+zero, and the terms are sorted by key.  Only the public constructor folds
+raw input; every operation that starts from canonical terms keeps the
+keys canonical with integer arithmetic alone.  A product puts both angles
+over L = lcm(den1, den2), adds and subtracts the integer numerators, folds
+each result k mod 2L into [0, L] by k -> 2L - k, and reduces k/L by one
+gcd; its coefficients are summed as integers over one common denominator.
+
 The term basis is NOT linearly independent (2cos(pi/5) - 2cos(2pi/5) = 1), so
 structural comparison is meaningless.  Equality is decided by is_zero, which
 embeds the value into Q(zeta) for a primitive n-th root of unity, n = 2L with
@@ -49,13 +58,20 @@ Rational = Union[int, Fraction]
 ORDER_TIE_EPS = 1e-10
 
 
+def _fold_int(k: int, level: int) -> Tuple[int, int]:
+    """The angle k/level (units of pi) as a term key: folded into [0, 1] by
+    cos(pi*(a+2)) = cos(pi*a) = cos(-pi*a) and reduced to lowest terms."""
+    level2 = 2 * level
+    k %= level2
+    if k > level:
+        k = level2 - k
+    g = math.gcd(k, level)
+    return k // g, level // g
+
+
 def _fold(fr: Fraction) -> Fraction:
-    """Fold an angle (in units of pi) into [0, 1] using the symmetries
-    cos(pi*(a+2)) = cos(pi*a) and cos(-pi*a) = cos(pi*a)."""
-    fr = fr % 2
-    if fr > 1:
-        fr = 2 - fr
-    return fr
+    """Fold an angle (in units of pi) into [0, 1]."""
+    return Fraction(*_fold_int(fr.numerator, fr.denominator))
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,8 +86,8 @@ class RationalAngle:
 
     @staticmethod
     def make(num: Rational, den: int = 1) -> "RationalAngle":
-        fr = _fold(Fraction(num, den))
-        return RationalAngle(fr.numerator, fr.denominator)
+        fr = Fraction(num, den)
+        return RationalAngle(*_fold_int(fr.numerator, fr.denominator))
 
     @property
     def frac(self) -> Fraction:
@@ -84,7 +100,16 @@ class RationalAngle:
         return f"{self.num}/{self.den}*pi"
 
 
-def _normalize_terms(raw: Mapping) -> Tuple[Tuple[Tuple[int, int], Fraction], ...]:
+def _common_den(terms) -> int:
+    """Least common denominator of the coefficients of canonical terms."""
+    q = 1
+    for _, c in terms:
+        q = _lcm(q, c.denominator)
+    return q
+
+
+def _normalize_terms(raw: Mapping) -> Dict[Tuple[int, int], Fraction]:
+    """Merge raw constructor input into a term map with canonical keys."""
     acc: Dict[Tuple[int, int], Fraction] = {}
     for key, coeff in raw.items():
         c = Fraction(coeff)
@@ -97,15 +122,23 @@ def _normalize_terms(raw: Mapping) -> Tuple[Tuple[Tuple[int, int], Fraction], ..
         else:
             ang = RationalAngle.make(key)
         pair = (ang.num, ang.den)
-        if pair == (1, 2):
-            continue  # 2cos(pi/2) = 0 exactly; keep the representation slim
         acc[pair] = acc.get(pair, Fraction(0)) + c
-    items = tuple(sorted((k, v) for k, v in acc.items() if v != 0))
-    return items
+    return acc
 
 
 class CosSum:
     """Immutable element of the cosine ring: sum of coeff * 2cos(pi*num/den).
+
+    ``terms`` is a sorted tuple of ((num, den), coeff) pairs.  Each key is an
+    angle folded into [0, 1] in lowest terms, (1, 2) never occurs
+    (2cos(pi/2) = 0), and every coefficient is a nonzero Fraction.  Sums,
+    negation and rational scaling keep keys canonical, so they only merge
+    coefficients.  A product of terms num1/den1 and num2/den2 works on
+    integer angles over L = lcm(den1, den2): with g = gcd(den1, den2),
+    a = num1*(den2/g) and b = num2*(den1/g), each of (a +- b) mod 2L is
+    folded by k -> 2L - k when k > L and reduced by one gcd(k, L).  Its
+    coefficients are summed as integers over the product of the two
+    factors' common denominators, one Fraction per resulting key.
 
     Not hashable on purpose: equal values can have different term dictionaries,
     so callers dedup through float buckets plus exact confirmation.
@@ -115,7 +148,19 @@ class CosSum:
     __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, raw: Mapping = ()):  # raw: {(num, den) | RationalAngle: coeff}
-        terms = _normalize_terms(dict(raw) if raw else {})
+        self._finish(_normalize_terms(dict(raw)))
+
+    @classmethod
+    def _canon(cls, acc: Dict[Tuple[int, int], Fraction]) -> "CosSum":
+        """Build from a term map whose keys are already canonical; the map
+        is consumed."""
+        out = object.__new__(cls)
+        out._finish(acc)
+        return out
+
+    def _finish(self, acc: Dict[Tuple[int, int], Fraction]) -> None:
+        acc.pop((1, 2), None)
+        terms = tuple(sorted(kc for kc in acc.items() if kc[1]))
         object.__setattr__(self, "terms", terms)
         f = 0.0
         for (num, den), c in terms:
@@ -129,11 +174,11 @@ class CosSum:
 
     @staticmethod
     def rational(q: Rational) -> "CosSum":
-        return CosSum({(0, 1): Fraction(q) / 2})
+        return CosSum._canon({(0, 1): Fraction(q) / 2})
 
     @staticmethod
     def zero() -> "CosSum":
-        return CosSum()
+        return CosSum._canon({})
 
     # -- ring structure -------------------------------------------------------
 
@@ -150,43 +195,54 @@ class CosSum:
             return NotImplemented
         acc = dict(self.terms)
         for k, c in o.terms:
-            acc[k] = acc.get(k, Fraction(0)) + c
-        return CosSum(acc)
+            acc[k] = acc[k] + c if k in acc else c
+        return CosSum._canon(acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CosSum({k: -c for k, c in self.terms})
+        return CosSum._canon({k: -c for k, c in self.terms})
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        acc = dict(self.terms)
+        for k, c in o.terms:
+            acc[k] = acc[k] - c if k in acc else -c
+        return CosSum._canon(acc)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            return CosSum({k: v * c for k, v in self.terms})
+            return CosSum._canon({k: v * c for k, v in self.terms})
         if not isinstance(other, CosSum):
             return NotImplemented
-        acc: Dict[Tuple[int, int], Fraction] = {}
+        # coefficients as integers over one denominator per factor, so the
+        # products accumulate as ints and become Fractions once per key
+        q1, q2 = _common_den(self.terms), _common_den(other.terms)
+        right = [(n2, d2, c2.numerator * (q2 // c2.denominator))
+                 for (n2, d2), c2 in other.terms]
+        acc: Dict[Tuple[int, int], int] = {}
+        gcd = math.gcd
         for (n1, d1), c1 in self.terms:
-            a1 = Fraction(n1, d1)
-            for (n2, d2), c2 in other.terms:
-                a2 = Fraction(n2, d2)
-                c = c1 * c2
-                for ang in (a1 + a2, a1 - a2):
-                    fr = _fold(ang)
-                    key = (fr.numerator, fr.denominator)
-                    acc[key] = acc.get(key, Fraction(0)) + c
-        return CosSum(acc)
+            m1 = c1.numerator * (q1 // c1.denominator)
+            for n2, d2, m2 in right:
+                g = gcd(d1, d2)
+                level = d1 // g * d2
+                a = n1 * (d2 // g)
+                b = n2 * (d1 // g)
+                m = m1 * m2
+                for key in (_fold_int(a + b, level), _fold_int(a - b, level)):
+                    acc[key] = acc.get(key, 0) + m
+        q = q1 * q2
+        return CosSum._canon({k: Fraction(m, q) for k, m in acc.items()})
 
     __rmul__ = __mul__
 
@@ -207,7 +263,7 @@ class CosSum:
             c = Fraction(other)
             if c == 0:
                 raise ZeroDivisionError("CosSum division by zero")
-            return CosSum({k: v / c for k, v in self.terms})
+            return CosSum._canon({k: v / c for k, v in self.terms})
         if not isinstance(other, CosSum):
             return NotImplemented
         q = other.as_rational()
@@ -446,10 +502,9 @@ def _symmetrize(coeffs: Sequence[Fraction], level: int) -> CosSum:
     for k, c in enumerate(coeffs):
         if c == 0:
             continue
-        fr = _fold(Fraction(k, level))
-        key = (fr.numerator, fr.denominator)
-        acc[key] = acc.get(key, Fraction(0)) + c / 2
-    return CosSum(acc)
+        key = _fold_int(k, level)
+        acc[key] = acc[key] + c / 2 if key in acc else c / 2
+    return CosSum._canon(acc)
 
 
 def _poly_mul_mod(a, b, phi):

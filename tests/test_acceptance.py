@@ -9,8 +9,6 @@ import random
 
 from fractions import Fraction
 
-import pytest
-
 from fricke_orbits.cli import render_search, verify_records
 from fricke_orbits.cosine_sums import canonicalize, enumerate_vanishing
 from fricke_orbits.fricke_action import (

@@ -6,7 +6,6 @@ import pytest
 
 from fricke_orbits.cli import (
     RunConfig,
-    cmd_graph,
     cmd_search,
     cmd_verify,
     cossum_from_str,

@@ -4,6 +4,7 @@ from functools import cmp_to_key
 
 import pytest
 
+from fricke_orbits import trig_field
 from fricke_orbits.fricke_action import (
     Diverges,
     all_equivalences,
@@ -22,7 +23,7 @@ from fricke_orbits.fricke_action import (
     suborbit,
     suborbit_parity_checks,
 )
-from fricke_orbits.trig_field import CosSum, compare_tuples, cos_value, from_rational
+from fricke_orbits.trig_field import compare_tuples, cos_value, from_rational
 
 # a 5-point orbit used as a worked example throughout: parameters
 # (wx, wy, wz) = (0, 1, 1), w4 = 4
@@ -74,6 +75,31 @@ def test_apply_is_involution():
         for g in "xyz":
             assert points_equal(apply(g, apply(g, p, w), w), p)
 
+
+def test_points_equal_around_tie_band(monkeypatch):
+    exact_calls = []
+    reduce = trig_field.to_cyclotomic
+
+    def counted(a):
+        exact_calls.append(a)
+        return reduce(a)
+
+    monkeypatch.setattr(trig_field, "to_cyclotomic", counted)
+    # equal values with different terms
+    a, one = cos_value(1, 5) - cos_value(2, 5), from_rational(1)
+    y, z = cos_value(1, 7), from_rational(Fraction(-3, 2))
+    assert points_equal((a, y, z), (one, y, z))
+    assert len(exact_calls) == 1  # y and z have identical terms
+    assert points_equal((a, y, z), (a, y, z))
+    assert len(exact_calls) == 1
+    # 2e-10 lies outside the tie band, 5e-11 inside it
+    for off, exact in ((Fraction(2, 10 ** 10), False), (Fraction(5, 10 ** 11), True)):
+        for b in (one + off, one - off):
+            for p, q in (((a, y, z), (b, y, z)), ((y, z, a), (y, z, b))):
+                before = len(exact_calls)
+                assert not points_equal(p, q)
+                assert not points_equal(q, p)
+                assert (len(exact_calls) > before) == exact
 
 def test_residual_is_invariant():
     rng = random.Random(7)

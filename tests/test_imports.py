@@ -1,0 +1,75 @@
+"""Every name a module under src/ or tests/ imports is used in that module.
+
+Package __init__ modules re-export on purpose and are left out, as are
+names listed in a module's __all__ and __future__ imports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(
+    p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py")
+    if p.name != "__init__.py"
+)
+
+
+def _exported(tree: ast.Module) -> set:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by an import statement and never read, in source order."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    # quoted annotations ("CosSum") name their types in a string
+    for ann in _annotations(tree):
+        if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+            used |= {n.id for n in ast.walk(ast.parse(ann.value, mode="eval"))
+                     if isinstance(n, ast.Name)}
+    skip = used | _exported(tree)
+    return sorted((line, name) for name, line in imported.items() if name not in skip)
+
+
+def test_checker_flags_only_unread_names():
+    src = (
+        "from __future__ import annotations\n"
+        "import os, os.path as osp\n"
+        "from math import gcd, pi\n"
+        "import json\n"
+        "__all__ = ['pi']\n"
+        "def f(x: 'Fraction') -> int:\n"
+        "    return gcd(x, os.sep)\n"
+        "from fractions import Fraction\n"
+    )
+    assert unused_imports(src) == [(2, "osp"), (4, "json")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(ROOT)) for p in MODULES])
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

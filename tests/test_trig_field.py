@@ -211,6 +211,147 @@ def test_division_roundtrip():
 
 
 # ---------------------------------------------------------------------------
+# term arithmetic against the Fraction-angle reference
+# ---------------------------------------------------------------------------
+# The reference folds every angle as a Fraction and re-normalizes every
+# result from raw terms.  CosSum must give the same terms, tuple for tuple,
+# and the same float, bit for bit.
+
+
+def _ref_fold(fr):
+    fr = fr % 2
+    return 2 - fr if fr > 1 else fr
+
+
+def _ref_normalize(raw):
+    acc = {}
+    for (num, den), coeff in raw.items():
+        c = Fraction(coeff)
+        if c == 0:
+            continue
+        fr = _ref_fold(Fraction(num, den))
+        pair = (fr.numerator, fr.denominator)
+        if pair == (1, 2):
+            continue
+        acc[pair] = acc.get(pair, Fraction(0)) + c
+    return tuple(sorted((k, v) for k, v in acc.items() if v != 0))
+
+
+def _ref_float(terms):
+    f = 0.0
+    for (num, den), c in terms:
+        f += float(c) * 2.0 * math.cos(math.pi * num / den)
+    return f
+
+
+def _ref_add(ta, tb):
+    acc = dict(ta)
+    for k, c in tb:
+        acc[k] = acc.get(k, Fraction(0)) + c
+    return _ref_normalize(acc)
+
+
+def _ref_scale(ta, q):
+    return _ref_normalize({k: v * q for k, v in ta})
+
+
+def _ref_mul(ta, tb):
+    acc = {}
+    for (n1, d1), c1 in ta:
+        a1 = Fraction(n1, d1)
+        for (n2, d2), c2 in tb:
+            a2 = Fraction(n2, d2)
+            for ang in (a1 + a2, a1 - a2):
+                fr = _ref_fold(ang)
+                key = (fr.numerator, fr.denominator)
+                acc[key] = acc.get(key, Fraction(0)) + c1 * c2
+    return _ref_normalize(acc)
+
+
+def _ref_pow(ta, n):
+    out, base = _ref_normalize({(0, 1): Fraction(1, 2)}), ta
+    while n:
+        if n & 1:
+            out = _ref_mul(out, base)
+        base = _ref_mul(base, base) if n > 1 else base
+        n >>= 1
+    return out
+
+
+def _ref_symmetrize(coeffs, level):
+    acc = {}
+    for k, c in enumerate(coeffs):
+        if c:
+            fr = _ref_fold(Fraction(k, level))
+            key = (fr.numerator, fr.denominator)
+            acc[key] = acc.get(key, Fraction(0)) + c / 2
+    return _ref_normalize(acc)
+
+
+def _same(value, terms):
+    assert value.terms == terms
+    assert value.float_value().hex() == _ref_float(terms).hex()
+
+
+# the divisors of 3080 = 2^3 * 5 * 7 * 11: every sum and product stays at a
+# level that divides 3080
+_REF_DENS = [d for d in range(1, 3081) if 3080 % d == 0]
+
+
+def _raw_terms(rng):
+    raw = {}
+    for _ in range(rng.randint(1, 4)):
+        den = rng.choice(_REF_DENS)
+        num = rng.randint(-2 * den, 3 * den)  # unfolded, not reduced
+        coeff = rng.choice([rng.randint(-5, 5),
+                            Fraction(rng.randint(-9, 9), rng.randint(1, 12))])
+        raw[(num, den)] = coeff
+        if rng.random() < 0.3:  # the same angle again, folded from the other side
+            raw[(2 * den - num, den)] = rng.randint(-3, 3)
+    return raw
+
+
+def test_term_arithmetic_matches_fraction_reference():
+    rng = random.Random(3080)
+    for _ in range(500):
+        fr = Fraction(rng.randint(-9000, 9000), rng.choice(_REF_DENS))
+        assert trig_field._fold(fr) == _ref_fold(fr)
+    pool = []
+    for _ in range(60):
+        raw = _raw_terms(rng)
+        a = CosSum(raw)
+        _same(a, _ref_normalize(raw))
+        pool.append(a)
+    # products folding to the angles 0, 1 and 1/2, and sums cancelling to 0
+    pool += [cos_value(1, 4), cos_value(1, 3), cos_value(2, 3), cos_value(1, 1),
+             cos_value(3, 4) * Fraction(-7, 3), cos_value(1, 5) - cos_value(2, 5)]
+    assert (cos_value(1, 4) * cos_value(1, 4)).terms == (((0, 1), 1),)
+    assert (cos_value(1, 3) * cos_value(2, 3)).terms == (((1, 1), 1), ((1, 3), 1))
+    for _ in range(400):
+        a, b = rng.choice(pool), rng.choice(pool)
+        q = rng.choice([rng.randint(-4, 4) or 3,
+                        Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 7))])
+        _same(a + b, _ref_add(a.terms, b.terms))
+        _same(a - b, _ref_add(a.terms, _ref_scale(b.terms, -1)))
+        _same(-a, _ref_scale(a.terms, -1))
+        _same(a * b, _ref_mul(a.terms, b.terms))
+        _same(a * q, _ref_scale(a.terms, Fraction(q)))
+        _same(q * a, _ref_scale(a.terms, Fraction(q)))
+        _same(a / q, _ref_normalize({k: v / q for k, v in a.terms}))
+        _same(a + q, _ref_add(a.terms, ((((0, 1), Fraction(q) / 2),))))
+        _same(a - a, ())
+        _same(a * b - b * a, ())
+    for a in pool[:20]:
+        for n in range(4):
+            _same(a ** n, _ref_pow(a.terms, n))
+        el = to_cyclotomic(a)
+        _same(a.reduced(), _ref_symmetrize(el.coeffs, el.level))
+    random_pool = pool[:60]
+    assert max(math.lcm(*(d for (_, d), _ in (a * b).terms))
+               for a in random_pool for b in random_pool) == 3080
+
+
+# ---------------------------------------------------------------------------
 # backend details
 # ---------------------------------------------------------------------------
 
