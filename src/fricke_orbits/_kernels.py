@@ -1,4 +1,4 @@
-"""Float scan of the orbit search.
+"""Configuration layouts and the float scan of the orbit search.
 
 The search examines roughly 1.2e8 candidate seeds.  Each seed is a point
 (X, Y, Z) plus parameters (wx, wy, wz) fed to a closure routine that
@@ -8,6 +8,10 @@ value, accept a doubly-fixed point when the two fixed-point relations
 2*A + V*B = w hold, and reject otherwise.  A seed survives when the
 graph closes; survivors are re-derived and confirmed in exact arithmetic
 by orbit_search.
+
+A configuration is a flat index into one of four classes, each defined
+once in LAYOUTS.  decode evaluates that definition on float arrays for the
+scan and on CosSum values for orbit_search.decode_config.
 
 The closure of one seed is _close_pylist.  scan_chunk runs numpy over a
 range of seeds: a vectorized prefilter tests necessary pass conditions
@@ -54,19 +58,25 @@ confirmation pass.
 from __future__ import annotations
 
 import bisect
+import math
 import os
-from typing import NamedTuple, Tuple
+from typing import Callable, Dict, NamedTuple, Tuple
 
 import numpy as np
 
 __all__ = [
     "CAP",
     "CHUNK",
+    "LAYOUTS",
+    "Layout",
     "ScanTables",
     "backend_name",
     "class_size",
     "close_float",
+    "decode",
     "decode_float",
+    "encode",
+    "layout",
     "scan_chunk",
 ]
 
@@ -94,43 +104,113 @@ def backend_name() -> str:
 
 
 class ScanTables(NamedTuple):
-    """Float dictionaries and per-class coordinate tables.
+    """Float dictionaries and per-class seed columns.
 
-    s1/s4: sorted dictionary values.  c1*: 1632 ordered seed triples for
-    class 1 (both sign chains) and the single flat index skipped in the
-    mirrored chain.  p2*: 902 (Y, Z) pairs for class 2.  p3*: 256 (Y, Z)
-    pairs for class 3.  c4*: 98770 ordered triples for class 4.
+    s1/s4: sorted dictionary values.  seeds[cls]: one float column per
+    seed coordinate of LAYOUTS[cls], indexed by seed row.  skip1: the
+    class-1 index of the all-zero configuration of the mirrored sign
+    chain, which the scan skips as a duplicate.
     """
 
     s1: np.ndarray
     s4: np.ndarray
-    c1x: np.ndarray
-    c1y: np.ndarray
-    c1z: np.ndarray
+    seeds: Dict[int, Tuple[np.ndarray, ...]]
     skip1: int
-    p2y: np.ndarray
-    p2z: np.ndarray
-    p3y: np.ndarray
-    p3z: np.ndarray
-    c4x: np.ndarray
-    c4y: np.ndarray
-    c4z: np.ndarray
 
-
-def class_size(cls: int, t: ScanTables) -> int:
-    if cls == 1:
-        return len(t.c1x) * 31 ** 3
-    if cls == 2:
-        return len(t.p2y) * 83 * 83
-    if cls == 3:
-        return len(t.p3y) * 31 * 83 * 83
-    if cls == 4:
-        return len(t.c4x) * 83
-    raise ValueError("class must be 1..4")
+    @property
+    def dicts(self) -> Dict[str, np.ndarray]:
+        return {"s1": self.s1, "s4": self.s4}
 
 
 def _omega4(X, Y, Z, wx, wy, wz):
     return 4.0 + wx * X + wy * Y + wz * Z - (X * Y * Z + X * X + Y * Y + Z * Z)
+
+
+# ---------------------------------------------------------------------------
+# configuration layouts
+
+
+class Layout(NamedTuple):
+    """How the flat configuration indices of one class decode.
+
+    seed: the coordinates a seed row holds, values of dictionary seed_dict.
+    axes: (name, dictionary) of the free values in mixed-radix order, the
+    last fastest: index = (row * n1 + i1) * n2 + i2 ..., n the size of an
+    axis's dictionary and i the value's position in it.  params: wx, wy, wz
+    and any prime computed on the way, by + - * / only, from the values
+    passed by name.  A prime a class does not hold is its _IMAGES image.
+    """
+
+    seed: Tuple[str, ...]
+    seed_dict: str
+    axes: Tuple[Tuple[str, str], ...]
+    params: Callable[..., Dict[str, object]]
+
+
+def _params1(X, Y, Z, Xp, Yp, Zp):
+    return dict(wx=X + Xp + Y * Z, wy=Y + Yp + X * Z, wz=Z + Zp + X * Y)
+
+
+def _params2(Y, Z, X, Yp):
+    # the x-image (Xp, Y, Z) is fixed by y and z: 2Y + Xp*Z = wy, 2Z + Xp*Y = wz
+    Xp = X + (Yp - Y) / Z
+    return dict(Xp=Xp, wx=X + Xp + Y * Z, wy=Y + Yp + X * Z, wz=Z + Z + Xp * Y)
+
+
+def _params3(Y, Z, Yp, X, Xp):
+    wy = Y + Yp + X * Z
+    return dict(wx=X + Xp + Y * Z, wy=wy, wz=wy)
+
+
+def _params4(X, Y, Z, Xp):
+    wx = X + Xp + Y * Z
+    return dict(wx=wx, wy=wx, wz=wx)
+
+
+LAYOUTS = {
+    1: Layout(("X", "Y", "Z"), "s1", (("Xp", "s1"), ("Yp", "s1"), ("Zp", "s1")), _params1),
+    2: Layout(("Y", "Z"), "s4", (("X", "s4"), ("Yp", "s4")), _params2),
+    3: Layout(("Y", "Z"), "s1", (("Yp", "s1"), ("X", "s4"), ("Xp", "s4")), _params3),
+    4: Layout(("X", "Y", "Z"), "s4", (("Xp", "s4"),), _params4),
+}
+
+
+def layout(cls: int) -> Layout:
+    """The layout of class cls; ValueError for a class outside 1..4."""
+    if cls not in LAYOUTS:
+        raise ValueError("class must be 1..4")
+    return LAYOUTS[cls]
+
+
+def decode(cls: int, index, dicts, seed_values) -> "_Cols":
+    """The named values of flat index `index` of class cls: one int over
+    CosSum values or an int array over float arrays, by the same steps.
+
+    dicts maps a dictionary name to its values, seed_values a seed row to
+    its seed's values.  The result computes any other image when read.
+    """
+
+    lay = layout(cls)
+    v = _Cols()
+    for name, d in reversed(lay.axes):
+        index, i = divmod(index, len(dicts[d]))
+        v[name] = dicts[d][i]
+    v.update(zip(lay.seed, seed_values(index)))
+    v.update(lay.params(**v))
+    return v
+
+
+def encode(cls: int, row: int, positions, dicts) -> int:
+    """The flat index of seed row `row` with axis positions `positions`."""
+    for (_, d), i in zip(layout(cls).axes, positions):
+        row = row * len(dicts[d]) + i
+    return row
+
+
+def class_size(cls: int, t: ScanTables) -> int:
+    """Number of flat indices of class cls: seed rows times axis sizes."""
+    lay = layout(cls)
+    return len(t.seeds[cls][0]) * math.prod(len(t.dicts[d]) for _, d in lay.axes)
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +400,14 @@ _ORDER = {
     4: ("cy", "Yp", "bz", "ay", "az", "Xp", "Zp", "bx", "cx"),
 }
 
-# Radix of the last index axis, which a class's prefix stage leaves out.
-_RADIX = {1: 31, 2: 1, 3: 83, 4: 1}
+# Classes with a prefix stage, which leaves out their last index axis.
+_PREFIX = (1, 3)
 
 
 class _Cols(dict):
-    """Columns of equal length over a set of seeds; an image is computed
-    from _IMAGES the first time it is read."""
+    """Named values: columns of equal length over a set of seeds, or the
+    values of one configuration.  An image is computed from _IMAGES the
+    first time it is read."""
 
     def __missing__(self, key):
         w, c, a, b = _IMAGES[key]
@@ -373,7 +454,8 @@ def _cayley(cols: _Cols, eps: float):
     return cay
 
 
-def _prefix_keep(cls: int, pref: np.ndarray, t: ScanTables, eps: float, look1, look4):
+def _prefix_keep(cls: int, pref: np.ndarray, radix: int, t: ScanTables, eps: float,
+                 look1, look4):
     """Mask of the prefixes idx // radix whose seeds may pass the class's
     index filter and prefilter, or may be Cayley seeds.
 
@@ -382,7 +464,7 @@ def _prefix_keep(cls: int, pref: np.ndarray, t: ScanTables, eps: float, look1, l
     for every seed of the prefix.
     """
 
-    cols = _Cols(zip(_SEED, _decode_vec(cls, pref * _RADIX[cls], t)))
+    cols = _Cols(zip(_SEED, _decode_vec(cls, pref * radix, t)))
     if cls == 3:
         # the scan keeps a class-3 seed only if Zp is an s1 value
         return look1.near(cols["Zp"], eps)
@@ -393,51 +475,20 @@ def _prefix_keep(cls: int, pref: np.ndarray, t: ScanTables, eps: float, look1, l
     return keep
 
 
-def _decode_vec(cls: int, idx: np.ndarray, t: ScanTables):
+def _decode_vec(cls: int, idx, t: ScanTables):
     """(X, Y, Z, wx, wy, wz) of flat indices: float arrays, one entry per
-    index.  Raises ValueError for a class outside 1..4."""
+    index of the int array idx, or floats for one int idx.  Raises
+    ValueError for a class outside 1..4.  The scan computes every image
+    from these six, as the closure does, not from an axis value."""
 
-    if cls == 1:
-        ti, r = np.divmod(idx, 29791)
-        a, r2 = np.divmod(r, 961)
-        b, cc = np.divmod(r2, 31)
-        X, Y, Z = t.c1x[ti], t.c1y[ti], t.c1z[ti]
-        wx = X + t.s1[a] + Y * Z
-        wy = Y + t.s1[b] + X * Z
-        wz = Z + t.s1[cc] + X * Y
-    elif cls == 2:
-        ti, r = np.divmod(idx, 6889)
-        iX, iYp = np.divmod(r, 83)
-        Y, Z = t.p2y[ti], t.p2z[ti]
-        X, Yp = t.s4[iX], t.s4[iYp]
-        Xp = X + (Yp - Y) / Z
-        wx = X + Xp + Y * Z
-        wy = Y + Yp + X * Z
-        wz = 2.0 * Z + Xp * Y
-    elif cls == 3:
-        ti, r = np.divmod(idx, 213559)
-        iYp, r2 = np.divmod(r, 6889)
-        iX, iXp = np.divmod(r2, 83)
-        Y, Z = t.p3y[ti], t.p3z[ti]
-        X, Xp, Yp = t.s4[iX], t.s4[iXp], t.s1[iYp]
-        wx = X + Xp + Y * Z
-        wy = Y + Yp + X * Z
-        wz = wy
-    elif cls == 4:
-        ti, iXp = np.divmod(idx, 83)
-        X, Y, Z = t.c4x[ti], t.c4y[ti], t.c4z[ti]
-        wx = X + t.s4[iXp] + Y * Z
-        wy = wx
-        wz = wx
-    else:
-        raise ValueError("class must be 1..4")
-    return X, Y, Z, wx, wy, wz
+    v = decode(cls, idx, t.dicts, lambda row: [c[row] for c in t.seeds[cls]])
+    return tuple(v[k] for k in _SEED)
 
 
 def decode_float(cls: int, idx: int, t: ScanTables) -> Tuple[float, ...]:
     """Seed (X, Y, Z, wx, wy, wz, w4) of one flat configuration index."""
 
-    seed = [float(v[0]) for v in _decode_vec(cls, np.array([idx]), t)]
+    seed = [float(v) for v in _decode_vec(cls, idx, t)]
     return (*seed, _omega4(*seed))
 
 
@@ -563,7 +614,7 @@ def scan_chunk(cls: int, start: int, stop: int, t: ScanTables, eps: float, backe
         raise ValueError("unknown backend %r" % backend)
     look1, look4 = _Lookup(t.s1), _Lookup(t.s4)
     s4list = t.s4.tolist()
-    radix = _RADIX[cls]
+    radix = len(t.dicts[LAYOUTS[cls].axes[-1][1]]) if cls in _PREFIX else 1
     out_idx = []
     out_size = []
     nproc = max(0, stop - start) - int(cls == 1 and start <= t.skip1 < stop)
@@ -585,7 +636,7 @@ def scan_chunk(cls: int, start: int, stop: int, t: ScanTables, eps: float, backe
     for a in range(first, last, step):
         idx = np.arange(a, min(last, a + step), dtype=np.int64)
         if radix > 1:
-            idx = idx[_prefix_keep(cls, idx, t, eps, look1, look4)]
+            idx = idx[_prefix_keep(cls, idx, radix, t, eps, look1, look4)]
             idx = (idx[:, None] * radix + np.arange(radix)).ravel()
             idx = idx[np.searchsorted(idx, start):np.searchsorted(idx, stop)]
         if cls == 1:

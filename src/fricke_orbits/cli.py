@@ -38,12 +38,12 @@ from .orbit_search import (
     CapError,
     OrbitRecord,
     SearchResult,
-    _matches_row,
     cayley_orbit,
     check_search_args,
     close_orbit,
     full_search,
     get_search_tables,
+    golden_relation,
 )
 from .parameter_maps import (
     BT_NAMES,
@@ -313,8 +313,9 @@ def verify_records(records: Sequence[OrbitRecord], rows: Sequence[GoldenRow]):
 
     diffs: List[str] = []
     used: Dict[int, int] = {}
-    for row in rows:
-        matches = [i for i, rec in enumerate(records) if _matches_row(rec, row)]
+    relation = golden_relation(records, rows)
+    for j, row in enumerate(rows):
+        matches = [i for i, hits in enumerate(relation) if j in hits]
         free = [i for i in matches if i not in used]
         if len(matches) == 1 and free:
             used[free[0]] = row.idx

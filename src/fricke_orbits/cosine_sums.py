@@ -469,10 +469,3 @@ def enumerate_unity_sums(n: int, den_bound: DenSpec,
     rec(0, 0, 1.0, 0.0, [])  # the fixed first root contributes (1, 0)
     return sorted(found)
 
-
-def phi_tuple_json(pt: PhiTuple) -> Dict[str, object]:
-    return {
-        "n": pt.n,
-        "phis": [f"{q.numerator}/{q.denominator}" for q in pt.phis],
-        "family": pt.family,
-    }

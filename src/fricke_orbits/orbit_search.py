@@ -28,6 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
+from itertools import combinations_with_replacement
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -73,6 +74,7 @@ __all__ = [
     "get_dictionaries",
     "get_search_tables",
     "golden_match",
+    "golden_relation",
     "verify_record",
 ]
 
@@ -166,7 +168,13 @@ def get_dictionaries() -> Dictionaries:
 
 @dataclass(frozen=True)
 class SearchTables:
-    """Exact index tables plus their float mirror used by the kernels."""
+    """The seed rows of the four classes and their float mirror.
+
+    tri1, pair2, pair3 and tri4 are the seed rows of classes 1-4, each a
+    tuple of dictionary positions, one per seed coordinate of the class's
+    _kernels.LAYOUTS entry; the exact decode reads its values through
+    them.  kernel holds the same seeds as float columns for the scan.
+    """
 
     dicts: Dictionaries
     kernel: _kernels.ScanTables
@@ -176,21 +184,10 @@ class SearchTables:
     tri4: Tuple[Tuple[int, int, int], ...]
 
 
-def _sorted_triples(positions: Sequence[int]) -> List[Tuple[int, int, int]]:
-    out = []
-    m = len(positions)
-    for i in range(m):
-        for j in range(i, m):
-            for k in range(j, m):
-                out.append((positions[i], positions[j], positions[k]))
-    return out
-
-
 def build_search_tables(d: Optional[Dictionaries] = None) -> SearchTables:
     d = d or get_dictionaries()
     s1, s4 = d.s1, d.s4
-    s1f = np.array([e.fval for e in s1])
-    s4f = np.array([e.fval for e in s4])
+    floats = {"s1": np.array(d.floats("s1")), "s4": np.array(d.floats("s4"))}
 
     # class 1: the seed point ranges over sorted nonnegative triples and,
     # mirrored, sorted nonpositive ones; primes range over all of s1
@@ -198,10 +195,8 @@ def build_search_tables(d: Optional[Dictionaries] = None) -> SearchTables:
     np1 = [i for i, e in enumerate(s1) if e.angle >= _HALF][::-1]
     zero1 = nn1[0]
     assert len(nn1) == 16 and np1[0] == zero1
-    tri1 = _sorted_triples(nn1) + _sorted_triples(np1)
+    tri1 = [*combinations_with_replacement(nn1, 3), *combinations_with_replacement(np1, 3)]
     assert len(tri1) == 1632
-    # the all-zero seed appears in both branches; process it once
-    skip1 = 816 * 31 ** 3 + zero1 * (961 + 31 + 1)
 
     # class 2: one image is doubly fixed; seed has 0 <= Y <= Z, Z > 0
     pos4 = [i for i, e in enumerate(s4) if e.angle < _HALF]
@@ -224,24 +219,18 @@ def build_search_tables(d: Optional[Dictionaries] = None) -> SearchTables:
     assert len(pair3) == 256
 
     # class 4: all three parameters coincide; sorted seed triples over s4
-    tri4 = _sorted_triples(list(range(83)))
+    tri4 = list(combinations_with_replacement(range(83), 3))
     assert len(tri4) == math.comb(85, 3)
 
-    kt = _kernels.ScanTables(
-        s1=s1f,
-        s4=s4f,
-        c1x=np.array([s1f[t[0]] for t in tri1]),
-        c1y=np.array([s1f[t[1]] for t in tri1]),
-        c1z=np.array([s1f[t[2]] for t in tri1]),
-        skip1=skip1,
-        p2y=np.array([s4f[p[0]] for p in pair2]),
-        p2z=np.array([s4f[p[1]] for p in pair2]),
-        p3y=np.array([s1f[p[0]] for p in pair3]),
-        p3z=np.array([s1f[p[1]] for p in pair3]),
-        c4x=np.array([s4f[t[0]] for t in tri4]),
-        c4y=np.array([s4f[t[1]] for t in tri4]),
-        c4z=np.array([s4f[t[2]] for t in tri4]),
-    )
+    rows = {1: tri1, 2: pair2, 3: pair3, 4: tri4}
+    seeds = {
+        cls: tuple(floats[_kernels.LAYOUTS[cls].seed_dict][np.array(r).T])
+        for cls, r in rows.items()
+    }
+    # the all-zero configuration appears in both class-1 chains; process it once
+    zero = (zero1,) * 3
+    skip1 = _kernels.encode(1, tri1.index(zero, 1), zero, floats)
+    kt = _kernels.ScanTables(floats["s1"], floats["s4"], seeds, skip1)
     return SearchTables(d, kt, tuple(tri1), tuple(pair2), tuple(pair3), tuple(tri4))
 
 
@@ -274,55 +263,20 @@ class GenConfig:
 
 
 def decode_config(cls: int, index: int, t: Optional[SearchTables] = None) -> GenConfig:
+    """The exact configuration of a flat index, decoded by its class's
+    _kernels layout; ValueError for a class outside 1..4."""
+
     t = t or get_search_tables()
-    s1, s4 = t.dicts.s1, t.dicts.s4
-    if cls == 1:
-        ti, r = divmod(index, 31 ** 3)
-        a, r2 = divmod(r, 961)
-        b, c = divmod(r2, 31)
-        ix, iy, iz = t.tri1[ti]
-        X, Y, Z = s1[ix].value, s1[iy].value, s1[iz].value
-        Xp, Yp, Zp = s1[a].value, s1[b].value, s1[c].value
-        wx = X + Xp + Y * Z
-        wy = Y + Yp + X * Z
-        wz = Z + Zp + X * Y
-    elif cls == 2:
-        ti, r = divmod(index, 6889)
-        iX, iYp = divmod(r, 83)
-        iy, iz = t.pair2[ti]
-        Y, Z = s4[iy].value, s4[iz].value
-        X, Yp = s4[iX].value, s4[iYp].value
-        Xp = X + (Yp - Y) / Z
-        Zp = Z - Y * (Y - Yp) / Z
-        wx = X + Xp + Y * Z
-        wy = Y + Yp + X * Z
-        wz = Z + Zp + X * Y
-    elif cls == 3:
-        ti, r = divmod(index, 213559)
-        iYp, r2 = divmod(r, 6889)
-        iX, iXp = divmod(r2, 83)
-        iy, iz = t.pair3[ti]
-        Y, Z = s1[iy].value, s1[iz].value
-        X, Xp, Yp = s4[iX].value, s4[iXp].value, s1[iYp].value
-        wx = X + Xp + Y * Z
-        wy = Y + Yp + X * Z
-        wz = wy
-        Zp = wz - Z - X * Y
-    elif cls == 4:
-        ti, iXp = divmod(index, 83)
-        ix, iy, iz = t.tri4[ti]
-        X, Y, Z = s4[ix].value, s4[iy].value, s4[iz].value
-        Xp = s4[iXp].value
-        wx = X + Xp + Y * Z
-        wy = wx
-        wz = wx
-        Yp = wy - Y - X * Z
-        Zp = wz - Z - X * Y
-    else:
-        raise ValueError("class must be 1..4")
-    point = (X, Y, Z)
-    w4 = omega4_of(point, wx, wy, wz)
-    return GenConfig(cls, index, point, Omega(wx, wy, wz, w4), (Xp, Yp, Zp))
+    lay = _kernels.layout(cls)
+    rows = (t.tri1, t.pair2, t.pair3, t.tri4)[cls - 1]
+    vals = {"s1": [e.value for e in t.dicts.s1], "s4": [e.value for e in t.dicts.s4]}
+    seed = vals[lay.seed_dict]
+    v = _kernels.decode(cls, index, vals, lambda row: [seed[i] for i in rows[row]])
+    point = (v["X"], v["Y"], v["Z"])
+    w4 = omega4_of(point, v["wx"], v["wy"], v["wz"])
+    return GenConfig(
+        cls, index, point, Omega(v["wx"], v["wy"], v["wz"], w4), (v["Xp"], v["Yp"], v["Zp"])
+    )
 
 
 def enumerate_class(
@@ -782,20 +736,27 @@ def _matches_row(rec: OrbitRecord, row) -> bool:
     return False
 
 
+def golden_relation(records: Sequence[OrbitRecord], rows: Sequence) -> List[List[int]]:
+    """For each record, the positions in rows of the reference rows it
+    matches: same size, parameters equal up to the 24 symmetries, and the
+    transformed representative contained in the record."""
+
+    return [[j for j, row in enumerate(rows) if _matches_row(rec, row)] for rec in records]
+
+
 def golden_match(records: Sequence[OrbitRecord], complete: bool = True) -> List[int]:
     """1-based reference row index for each record.
 
-    Each record must match exactly one row (same size, parameters equal
-    up to the 24 symmetries, transformed representative contained in the
-    record); with complete=True the assignment must be a bijection.
+    Each record must match exactly one row (see golden_relation); with
+    complete=True the assignment must be a bijection.
     """
 
     from .golden import GOLDEN_ROWS
 
     out: List[int] = []
     used = set()
-    for rec in records:
-        hits = [row.idx for row in GOLDEN_ROWS if _matches_row(rec, row)]
+    for rec, hits in zip(records, golden_relation(records, GOLDEN_ROWS)):
+        hits = [GOLDEN_ROWS[j].idx for j in hits]
         if len(hits) != 1:
             raise ValueError(
                 f"orbit of size {rec.size} matched reference rows {hits}"

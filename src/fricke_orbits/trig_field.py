@@ -89,13 +89,6 @@ class RationalAngle:
         fr = Fraction(num, den)
         return RationalAngle(*_fold_int(fr.numerator, fr.denominator))
 
-    @property
-    def frac(self) -> Fraction:
-        return Fraction(self.num, self.den)
-
-    def cos_float(self) -> float:
-        return 2.0 * math.cos(math.pi * self.num / self.den)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{self.num}/{self.den}*pi"
 
@@ -505,16 +498,6 @@ def _symmetrize(coeffs: Sequence[Fraction], level: int) -> CosSum:
         key = _fold_int(k, level)
         acc[key] = acc[key] + c / 2 if key in acc else c / 2
     return CosSum._canon(acc)
-
-
-def _poly_mul_mod(a, b, phi):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] += ca * cb
-    return _poly_rem_frac(out, phi)
 
 
 def _poly_rem_frac(num, phi):

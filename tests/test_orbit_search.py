@@ -13,6 +13,7 @@ from fricke_orbits.fricke_action import (
     fricke_residual,
     make_omega,
     make_point,
+    omega4_of,
     points_equal,
 )
 from fricke_orbits.orbit_search import (
@@ -160,6 +161,165 @@ def test_decode_matches_float_decode():
             ]
             for a, b in zip(exact, f):
                 assert abs(a - b) < 1e-9
+
+
+# The decodes as they were written before the class layouts: one float
+# and one exact body per class, with the radices spelled out.  Class 2's
+# exact wz, w4 and Zp were computed by a second division by Z.
+
+def _ref_columns():
+    s1, s4 = KT.s1, KT.s4
+    return {
+        1: [np.array([s1[t[k]] for t in T.tri1]) for k in range(3)],
+        2: [np.array([s4[p[k]] for p in T.pair2]) for k in range(2)],
+        3: [np.array([s1[p[k]] for p in T.pair3]) for k in range(2)],
+        4: [np.array([s4[t[k]] for t in T.tri4]) for k in range(3)],
+    }
+
+
+_REF_COLUMNS = _ref_columns()
+
+
+def _ref_decode_vec(cls, idx):
+    s1, s4, col = KT.s1, KT.s4, _REF_COLUMNS[cls]
+    if cls == 1:
+        ti, r = np.divmod(idx, 29791)
+        a, r2 = np.divmod(r, 961)
+        b, cc = np.divmod(r2, 31)
+        X, Y, Z = col[0][ti], col[1][ti], col[2][ti]
+        wx = X + s1[a] + Y * Z
+        wy = Y + s1[b] + X * Z
+        wz = Z + s1[cc] + X * Y
+    elif cls == 2:
+        ti, r = np.divmod(idx, 6889)
+        iX, iYp = np.divmod(r, 83)
+        Y, Z = col[0][ti], col[1][ti]
+        X, Yp = s4[iX], s4[iYp]
+        Xp = X + (Yp - Y) / Z
+        wx = X + Xp + Y * Z
+        wy = Y + Yp + X * Z
+        wz = 2.0 * Z + Xp * Y
+    elif cls == 3:
+        ti, r = np.divmod(idx, 213559)
+        iYp, r2 = np.divmod(r, 6889)
+        iX, iXp = np.divmod(r2, 83)
+        Y, Z = col[0][ti], col[1][ti]
+        X, Xp, Yp = s4[iX], s4[iXp], s1[iYp]
+        wx = X + Xp + Y * Z
+        wy = Y + Yp + X * Z
+        wz = wy
+    else:
+        ti, iXp = np.divmod(idx, 83)
+        X, Y, Z = col[0][ti], col[1][ti], col[2][ti]
+        wx = X + s4[iXp] + Y * Z
+        wy = wx
+        wz = wx
+    return X, Y, Z, wx, wy, wz
+
+
+def _ref_decode_config(cls, index):
+    s1, s4 = D.s1, D.s4
+    if cls == 1:
+        ti, r = divmod(index, 31 ** 3)
+        a, r2 = divmod(r, 961)
+        b, c = divmod(r2, 31)
+        ix, iy, iz = T.tri1[ti]
+        X, Y, Z = s1[ix].value, s1[iy].value, s1[iz].value
+        Xp, Yp, Zp = s1[a].value, s1[b].value, s1[c].value
+        wx = X + Xp + Y * Z
+        wy = Y + Yp + X * Z
+        wz = Z + Zp + X * Y
+    elif cls == 2:
+        ti, r = divmod(index, 6889)
+        iX, iYp = divmod(r, 83)
+        iy, iz = T.pair2[ti]
+        Y, Z = s4[iy].value, s4[iz].value
+        X, Yp = s4[iX].value, s4[iYp].value
+        Xp = X + (Yp - Y) / Z
+        Zp = Z - Y * (Y - Yp) / Z
+        wx = X + Xp + Y * Z
+        wy = Y + Yp + X * Z
+        wz = Z + Zp + X * Y
+    elif cls == 3:
+        ti, r = divmod(index, 213559)
+        iYp, r2 = divmod(r, 6889)
+        iX, iXp = divmod(r2, 83)
+        iy, iz = T.pair3[ti]
+        Y, Z = s1[iy].value, s1[iz].value
+        X, Xp, Yp = s4[iX].value, s4[iXp].value, s1[iYp].value
+        wx = X + Xp + Y * Z
+        wy = Y + Yp + X * Z
+        wz = wy
+        Zp = wz - Z - X * Y
+    else:
+        ti, iXp = divmod(index, 83)
+        ix, iy, iz = T.tri4[ti]
+        X, Y, Z = s4[ix].value, s4[iy].value, s4[iz].value
+        Xp = s4[iXp].value
+        wx = X + Xp + Y * Z
+        wy = wx
+        wz = wx
+        Yp = wy - Y - X * Z
+        Zp = wz - Z - X * Y
+    point = (X, Y, Z)
+    return point, (wx, wy, wz, omega4_of(point, wx, wy, wz)), (Xp, Yp, Zp)
+
+
+def _layout_indices(cls, count, seed):
+    """Seeded indices plus the ends of the index space, of seed rows and
+    of prefixes (class 1 per 31, class 3 per 83), and class 1's skipped
+    index with its neighbours."""
+
+    size = _kernels.class_size(cls, KT)
+    row = size // {1: len(T.tri1), 2: len(T.pair2), 3: len(T.pair3), 4: len(T.tri4)}[cls]
+    rng = random.Random(300 + cls)
+    idx = {0, size - 1, row - 1, row, row + 1, size - row, 31 * 83, 83 * 83 - 1}
+    idx |= {rng.randrange(size // 83) * 83 for _ in range(count // 4)}
+    idx |= {rng.randrange(size // 31) * 31 for _ in range(count // 4)}
+    idx |= {rng.randrange(size) for _ in range(count)}
+    if cls == 1:
+        idx |= set(range(KT.skip1 - 3, KT.skip1 + 4))
+    return sorted(idx)
+
+
+@pytest.mark.parametrize("cls", [1, 2, 3, 4])
+def test_float_decode_matches_reference_bitwise(cls):
+    idx = np.array(_layout_indices(cls, 4000, 0))
+    got = _kernels._decode_vec(cls, idx, KT)
+    for a, b in zip(got, _ref_decode_vec(cls, idx)):
+        assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
+    for i in idx[::37].tolist():
+        want = [float(v[0]) for v in _ref_decode_vec(cls, np.array([i]))]
+        want.append(_kernels._omega4(*want))
+        assert [v.hex() for v in _kernels.decode_float(cls, i, KT)] == [v.hex() for v in want]
+
+
+@pytest.mark.parametrize("cls", [1, 2, 3, 4])
+def test_exact_decode_matches_reference(cls):
+    # term for term, but for class 2's wz (now Z + Z + Xp*Y, the float
+    # formula), w4 and Zp, which are equal values
+    for idx in _layout_indices(cls, 40, 1):
+        g = decode_config(cls, idx)
+        point, omega, primes = _ref_decode_config(cls, idx)
+        got = dict(zip(("X", "Y", "Z", "wx", "wy", "wz", "w4", "Xp", "Yp", "Zp"),
+                       (*g.point, *g.omega, *g.primes)))
+        want = dict(zip(got, (*point, *omega, *primes)))
+        for name, a in got.items():
+            b = want[name]
+            if cls == 2 and name in ("wz", "w4", "Zp"):
+                assert (a - b).is_zero(), name
+            else:
+                assert (a.terms, a._float) == (b.terms, b._float), name
+
+
+@pytest.mark.parametrize("cls", [0, 5])
+def test_decode_rejects_unknown_class(cls):
+    with pytest.raises(ValueError):
+        decode_config(cls, 0)
+    with pytest.raises(ValueError):
+        _kernels.decode_float(cls, 0, KT)
+    with pytest.raises(ValueError):
+        _kernels.class_size(cls, KT)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +711,7 @@ def test_class1_first_shell_checks_cannot_fail(image, radix):
     # The numpy scan leaves out class 1's first-shell checks.  Over every
     # seed triple and every value of the prime the image reads, the image
     # lies within 4*eps of an s4 value, so each of those checks passes.
-    idx = (np.arange(len(KT.c1x))[:, None] * 29791
+    idx = (np.arange(len(T.tri1))[:, None] * 29791
            + np.arange(31) * radix).ravel()
     cols = _kernels._Cols(zip(_kernels._SEED, _kernels._decode_vec(1, idx, KT)))
     v = cols[image]
