@@ -14,22 +14,30 @@ once in LAYOUTS.  decode evaluates that definition on float arrays for the
 scan and on CosSum values for orbit_search.decode_config.
 
 The closure of one seed is _close_pylist.  scan_chunk runs numpy over a
-range of seeds: a vectorized prefilter tests necessary pass conditions
-on the first two image shells of every seed, and only the candidates
-passing all of them are closed.  It works in stages on a shrinking set
-of seeds:
+range of seeds: a vectorized prefilter tests necessary pass conditions on
+image shells of every seed, and only the candidates passing all of them
+are closed.  It works in stages on a shrinking set of seeds:
 
 1. Prefix stage (classes 1 and 3).  A condition that does not read the
    last index axis is tested once per prefix idx // radix, on values
-   decoded at the prefix's first index: class 3 keeps Zp in s1, class 1
-   tests a weakened form of its ay and bx checks, or |wx|, |wy| <= eps
-   for a possible Cayley seed.  Only kept prefixes are expanded over the
-   last axis (31 or 83 values) and decoded in full.
-2. Cayley seeds are counted on the expanded seeds.
-3. The shell checks run one at a time, most rejecting first, and the
+   decoded at the prefix's first index.  Exactly one weight reads the
+   last axis: wz in class 1 (the axis is Zp), wx in class 3 (Xp).  The
+   stage tests two second-shell checks without the fixed-point equation
+   of that weight (class 1: ay and bx; class 3: cy and bz), and keeps
+   every prefix whose other weights are within eps of 0, since it may
+   hold a Cayley seed; class 3 also keeps only prefixes with Zp in s1.
+2. Grouping.  The prefix stage runs on blocks of _NUMPY_BLOCK // radix
+   prefixes.  Kept prefixes are collected across blocks, in index order,
+   and expanded over the last axis (31 or 83 values) and decoded in full
+   _NUMPY_BLOCK // radix at a time.  Classes 2 and 4 have no prefix
+   stage: their blocks expand as they are.
+3. Cayley seeds are counted on the expanded seeds.
+4. The shell checks run one at a time, most rejecting first, and the
    seed columns are compacted after each one.  Class 1 leaves out its
-   first shell, whose images are s1 values by construction.
-4. Cayley seeds are dropped from the candidates, which a lockstep
+   first shell, whose images are s1 values by construction, and adds two
+   third-shell checks: ayz, the z-image of (Xp, ay, Z), and bzx, the
+   x-image of (X, Yp, bz).
+5. Cayley seeds are dropped from the candidates, which a lockstep
    closure settles in batches of up to _LOCKSTEP_ROWS seeds: every seed
    of a batch advances one BFS slot per numpy iteration, with the float
    operations of _close_pylist in the same order, so each gets the result
@@ -39,20 +47,64 @@ of seeds:
 Dictionary membership is an O(1) bucket lookup that returns the same
 bracketing entries as np.searchsorted.
 
-The prefilter conditions are weaker than the closure's accept
-conditions, so the scan returns the survivors, sizes and statistics
-that _close_pylist gives when run on every seed of the range (class 3
-keeping only seeds with Zp in s1, and Cayley seeds counted, not closed);
-tests/test_orbit_search.py checks this against that per-seed loop.  The
-staging keeps it: every condition tested is one of the checks or a
-consequence of one, so a seed a stage drops fails the full conjunction
-too, and evaluation order does not change a conjunction.  The class-1
-first-shell checks, the only ones left out, are shown never to fail; and
-a seed failing one would be rejected anyway by the closure's first step,
-which tests the same image with a tighter tolerance.  All work here is
-double precision with a tolerance well below half the minimal dictionary
-gap; nothing reported from this module is trusted without the exact
-confirmation pass.
+The scan returns the survivors, sizes and statistics that _close_pylist
+gives when run on every seed of the range (class 3 keeping only seeds
+with Zp in s1, and Cayley seeds counted, not closed);
+tests/test_orbit_search.py checks this against that per-seed loop, at
+several eps.  It does because every check is a necessary condition for
+the closure to accept the seed, and a prefix-stage condition is a check
+with one equation left out, so it is implied by the check: a seed a
+stage drops fails the full conjunction too, and evaluation order does
+not change a conjunction.  The class-1 first-shell checks, left out, are
+shown never to fail.  Nothing reported from this module is trusted
+without the exact confirmation pass.
+
+Why a check is necessary.  Let F_c(p) be the point p with coordinate c
+replaced by fl(w_c - p_c - p_a*p_b), the image the closure computes.  A
+check follows a chain of distinct moves c_1..c_k from the seed s_0 (k <= 2,
+and k = 3 for class 1's ayz and bzx): s_j = F_c_j(s_(j-1)), and tests v,
+the c_k coordinate of s_k.  Take a closure that accepts the seed, with
+points P[i] and neighbours N_c[i], and follow the same moves: i_0 = 0 and
+i_j = N_c_j[i_(j-1)].  Write d_j for the largest coordinate difference
+between P[i_j] and s_j, and B = 2 + eps.
+
+- Origins.  A point appended by a move copies its other two coordinates
+  from its parent, so P_c[i] is a seed value (an s4 entry), a value the
+  closure found within eps of an s4 entry, or the new coordinate of a
+  doubly-fixed point appended by a c-move (a fixed point).  A fixed
+  point's other two neighbours are itself, so it has no children, and a
+  chain of distinct moves enters it only from its parent and then stays.
+- Bounds.  Dictionary values lie in [-2, 2], so a weight, two values plus
+  a product of two, has |w| <= W = 8; class 2's wx reads its computed Xp
+  and has W = 18.2 over its grid (tests/test_orbit_search.py).  Every
+  coordinate is then within B, except the new coordinate of a fixed point,
+  within V = W + B + B*B: 14.1, or 24.2 in class 2.
+- Steps.  P[i_j] differs from F_c_j(P[i_(j-1)]) by at most delta: 0 when
+  appended from i_(j-1); eps for a link made from i_(j-1) or a fixed
+  point's loop (the closure's own tests); (1 + 2B)*eps, about 5*eps, for
+  a link made from i_j.  F_c moves a difference d by at most (1 + |a| +
+  |b| + d)*d: about 5*d at an ordinary point, (1 + B + V)*d, 17.1*d in
+  class 1, at a fixed point.  Each step adds a rounding error below 1e-13
+  (all values stay below 64).
+- Depth.  d_1 <= eps, since the seed's slots are resolved from the seed.
+  d_2 <= 5 + 5*1 = 10 eps, or eps if i_1 is a fixed point (d_1 = 0).
+  d_3 <= 5 + 5*10 = 55 eps through ordinary points; entering a fixed
+  point at step 2 costs no delta, so d_2 <= 5 eps and d_3 <= 1 + 17.1*5,
+  about 86 eps.
+- Tests.  If P_c[i_k] is a seed or s4-near value, v lies within eps + d_k
+  <= 87 eps of s4.  If i_k is a fixed point entered at step k, by an
+  append, d_k <= 5*d_(k-1) (5 eps at depth 2, 50 at depth 3), and its
+  equations, within eps at P[i_k], hold at s_k within eps + (2 + V + B +
+  d_k)*d_k: about 92 eps at depth 2 (142 in class 2) and 906 at depth 3.
+  Otherwise P_c[i_k] is a coordinate the chain inherited and the first
+  case applies.
+
+The checks therefore use 128*eps on values (_TOL_VALUE) and 1024*eps on
+fixed-point equations (_TOL_FIXED), which leave room for the rounding
+terms for any eps >= 1e-10.  Links to seed and first-shell values are
+extra alternatives, only weakening a check.  The smallest s4 gap is
+6.4e-3, so at the default eps = 1e-8 the tolerances cost no measurable
+selectivity.
 """
 
 from __future__ import annotations
@@ -361,7 +413,8 @@ _SEED = ("X", "Y", "Z", "wx", "wy", "wz")
 # The images the prefilter tests, name -> (w, coordinate, a, b): the image
 # is w - coordinate - a*b, the neighbour the closure computes.  Xp, Yp and
 # Zp (first shell) are the images of the seed; ay is the y-image of the
-# x-image, bx the x-image of the y-image, and so on (second shell).
+# x-image, bx the x-image of the y-image, and so on (second shell); ayz is
+# the z-image of (Xp, ay, Z) and bzx the x-image of (X, Yp, bz) (third).
 _IMAGES = {
     "Xp": ("wx", "X", "Y", "Z"),
     "Yp": ("wy", "Y", "X", "Z"),
@@ -372,6 +425,8 @@ _IMAGES = {
     "bz": ("wz", "Z", "X", "Yp"),
     "cx": ("wx", "X", "Y", "Zp"),
     "cy": ("wy", "Y", "X", "Zp"),
+    "ayz": ("wz", "Z", "Xp", "ay"),
+    "bzx": ("wx", "X", "Yp", "bz"),
 }
 
 # name -> (links, p1, p2, w1, w2).  The closure accepts an image v only as
@@ -388,20 +443,23 @@ _CHECKS = {
     "bz": (("Z", "Zp"), "X", "Yp", "wx", "wy"),
     "cx": (("X", "Xp"), "Y", "Zp", "wy", "wz"),
     "cy": (("Y", "Yp"), "X", "Zp", "wx", "wz"),
+    "ayz": (("Z", "Zp"), "Xp", "ay", "wx", "wy"),
+    "bzx": (("X", "Xp"), "Yp", "bz", "wy", "wz"),
 }
 
 # Checks per class, most rejecting first.  Class 1 leaves out the first
 # shell: its images are s1 values by construction, so those checks cannot
 # fail (tests/test_orbit_search.py proves it over the whole grid).
 _ORDER = {
-    1: ("cx", "bz", "az", "cy", "bx", "ay"),
+    1: ("bzx", "ayz", "cx", "bz", "az", "cy", "bx", "ay"),
     2: ("bz", "bx", "cx", "Zp", "cy", "Xp", "Yp", "ay", "az"),
     3: ("ay", "bx", "cy", "cx", "bz", "az", "Xp", "Yp", "Zp"),
     4: ("cy", "Yp", "bz", "ay", "az", "Xp", "Zp", "bx", "cx"),
 }
 
-# Classes with a prefix stage, which leaves out their last index axis.
-_PREFIX = (1, 3)
+# Classes with a prefix stage: the checks it weakens, and the weight that
+# reads the last index axis, which they and the Cayley test leave out.
+_PREFIX = {1: (("ay", "bx"), "wz"), 3: (("cy", "bz"), "wx")}
 
 
 class _Cols(dict):
@@ -418,22 +476,31 @@ class _Cols(dict):
         return _Cols((k, v[keep]) for k, v in self.items())
 
 
-def _check(cols: _Cols, name: str, look4: _Lookup, eps: float, whole: bool = True):
-    """Necessary condition for the closure to accept image `name`, with
-    tolerance 4*eps on values and links and 16*eps on fixed points.  With
-    whole=False the fixed-point alternative keeps only its first equation:
-    a weaker condition that does not read w2."""
+# Tolerances of the checks in units of eps, covering the float error of
+# depth-3 images (module docstring).
+_TOL_VALUE = 128.0
+_TOL_FIXED = 1024.0
 
-    eps_d = 4.0 * eps
-    eps_b = 16.0 * eps
+
+def _check(cols: _Cols, name: str, look4: _Lookup, eps: float, drop: str = ""):
+    """Necessary condition for the closure to accept image `name`, with
+    tolerance _TOL_VALUE*eps on values and links and _TOL_FIXED*eps on
+    fixed points.  With drop naming a weight, the fixed-point alternative
+    leaves out the equation with that weight: a weaker condition that
+    does not read it."""
+
+    eps_d = _TOL_VALUE * eps
+    eps_b = _TOL_FIXED * eps
     links, p1, p2, w1, w2 = _CHECKS[name]
     v = cols[name]
     ok = look4.near(v, eps_d)
     for c in links:
         ok |= np.abs(v - cols[c]) <= eps_d
     a1, a2 = cols[p1], cols[p2]
-    fixed = np.abs(2.0 * a1 + v * a2 - cols[w1]) <= eps_b
-    if whole:
+    fixed = np.ones(len(v), bool)
+    if w1 != drop:
+        fixed &= np.abs(2.0 * a1 + v * a2 - cols[w1]) <= eps_b
+    if w2 != drop:
         fixed &= np.abs(2.0 * a2 + v * a1 - cols[w2]) <= eps_b
     return ok | fixed
 
@@ -465,13 +532,19 @@ def _prefix_keep(cls: int, pref: np.ndarray, radix: int, t: ScanTables, eps: flo
     """
 
     cols = _Cols(zip(_SEED, _decode_vec(cls, pref * radix, t)))
+    names, drop = _PREFIX[cls]
+    keep = np.ones(len(pref), bool)
+    for name in names:
+        keep &= _check(cols, name, look4, eps, drop)
+    # a Cayley seed has every weight within eps of 0
+    cay = np.ones(len(pref), bool)
+    for w in ("wx", "wy", "wz"):
+        if w != drop:
+            cay &= np.abs(cols[w]) <= eps
+    keep |= cay
     if cls == 3:
         # the scan keeps a class-3 seed only if Zp is an s1 value
-        return look1.near(cols["Zp"], eps)
-    # class 1: a prefix is (t, a, b); wx, wy, ay and bx do not read c
-    keep = _check(cols, "ay", look4, eps, whole=False)
-    keep &= _check(cols, "bx", look4, eps, whole=False)
-    keep |= (np.abs(cols["wx"]) <= eps) & (np.abs(cols["wy"]) <= eps)
+        keep &= look1.near(cols["Zp"], eps)
     return keep
 
 
@@ -495,10 +568,11 @@ def decode_float(cls: int, idx: int, t: ScanTables) -> Tuple[float, ...]:
 _NUMPY_BLOCK = 1 << 16
 
 # Most seeds a lockstep batch closes at once.  The live arrays take 48
-# bytes per row and point slot.  Closing all candidates of a scan_chunk
-# call at once (about 32,000 in class 1's first block of 2^17 seeds) took
-# the benchmark's peak RSS from 65 to 107 MB; 2,048 or 4,096 rows kept it
-# at 65 MB, at the same speed.
+# bytes per row and point slot.  Before the third-shell checks, class 1's
+# first block of 2^17 seeds sent about 32,000 candidates to the closure
+# (about 2,000 now, and class 3's about 12,000); closing them all at once
+# took the benchmark's peak RSS from 65 to 107 MB, while 2,048 or 4,096
+# rows kept it at 65 MB, at the same speed.
 _LOCKSTEP_ROWS = 2048
 
 # Live rows at which a batch hands its remaining seeds to _close_pylist.
@@ -601,13 +675,16 @@ def scan_chunk(cls: int, start: int, stop: int, t: ScanTables, eps: float, backe
     """Scan one contiguous index range; returns (idx, size, processed, cayley, cap).
 
     backend must be "numpy", the one scan there is; anything else raises
-    ValueError.  The staged prefilter runs block by block, a block
-    covering _NUMPY_BLOCK // radix prefixes, so that neither it nor its
-    expansion exceeds _NUMPY_BLOCK seeds.  The stages are those of the
-    module docstring.  The candidates are gathered across blocks in index
-    order and closed _LOCKSTEP_ROWS at a time, each with the result the
-    per-seed closure gives, so the output is that of the full conjunction
-    evaluated on every seed.
+    ValueError.  The stages are those of the module docstring.  The prefix
+    stage runs on blocks of _NUMPY_BLOCK // radix prefixes (radix 1 for
+    classes 2 and 4, which have none); the kept prefixes are gathered
+    across blocks and expanded, decoded and checked _NUMPY_BLOCK // radix
+    at a time, so that no stage holds more than _NUMPY_BLOCK seeds.  Only
+    the first and the last prefix of the range are cut to [start, stop).
+    The candidates are gathered in index order and closed _LOCKSTEP_ROWS
+    at a time, each with the result the per-seed closure gives, so the
+    output is that of the full conjunction evaluated on every seed, and
+    does not depend on how a range is split into calls.
     """
 
     if backend != "numpy":
@@ -631,13 +708,11 @@ def scan_chunk(cls: int, start: int, stop: int, t: ScanTables, eps: float, backe
         out_size.extend(res[res > 0].tolist())
         pend_idx, pend = pend_idx[m:], pend[m:]
 
-    first, last = start // radix, -(-stop // radix)
-    step = _NUMPY_BLOCK // radix
-    for a in range(first, last, step):
-        idx = np.arange(a, min(last, a + step), dtype=np.int64)
+    def expand(pref):
+        nonlocal ncay, pend_idx, pend
+        idx = pref
         if radix > 1:
-            idx = idx[_prefix_keep(cls, idx, radix, t, eps, look1, look4)]
-            idx = (idx[:, None] * radix + np.arange(radix)).ravel()
+            idx = (pref[:, None] * radix + np.arange(radix)).ravel()
             idx = idx[np.searchsorted(idx, start):np.searchsorted(idx, stop)]
         if cls == 1:
             idx = idx[idx != t.skip1]
@@ -651,6 +726,19 @@ def scan_chunk(cls: int, start: int, stop: int, t: ScanTables, eps: float, backe
         pend = np.concatenate([pend, np.stack([cols[k] for k in _SEED], axis=1)])
         while len(pend) >= _LOCKSTEP_ROWS:
             close(_LOCKSTEP_ROWS)
+
+    first, last = start // radix, -(-stop // radix)
+    step = _NUMPY_BLOCK // radix
+    kept = np.empty(0, np.int64)
+    for a in range(first, last, step):
+        pref = np.arange(a, min(last, a + step), dtype=np.int64)
+        if radix > 1:
+            pref = pref[_prefix_keep(cls, pref, radix, t, eps, look1, look4)]
+        kept = np.concatenate([kept, pref])
+        if len(kept) >= step:
+            expand(kept[:step])
+            kept = kept[step:]
+    expand(kept)
     close(len(pend))
     return out_idx, out_size, nproc, ncay, ncap
 

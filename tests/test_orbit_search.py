@@ -527,13 +527,13 @@ def test_close_float_worked_example():
     (3, 0, 0),
     (4, 0, 0),
 ])
-def test_backend_parity(cls, start, stop):
+def test_scan_matches_per_seed_reference(cls, start, stop):
     # the numpy scan, the production path, against the per-seed reference
     out = _kernels.scan_chunk(cls, start, stop, KT, EPS, "numpy")
     assert out == _per_seed_reference(cls, start, stop)
 
 
-def _per_seed_reference(cls, start, stop):
+def _per_seed_reference(cls, start, stop, eps=EPS):
     """scan_chunk's output computed one seed at a time: the seed and w4 as
     decode_float gives them, for class 3 the index filter Zp in s1, the
     Cayley test, then _close_pylist on every other seed.  The seeds are
@@ -552,12 +552,12 @@ def _per_seed_reference(cls, start, stop):
         if cls == 3:
             zp = wz - Z - X * Y
             k = bisect.bisect_left(s1, zp)
-            if not any(abs(d - zp) <= EPS for d in s1[max(k - 1, 0):k + 1]):
+            if not any(abs(d - zp) <= eps for d in s1[max(k - 1, 0):k + 1]):
                 continue
-        if max(abs(wx), abs(wy), abs(wz), abs(w4)) <= EPS:
+        if max(abs(wx), abs(wy), abs(wz), abs(w4)) <= eps:
             ncay += 1
             continue
-        res = _kernels._close_pylist(X, Y, Z, wx, wy, wz, s4, EPS)[0]
+        res = _kernels._close_pylist(X, Y, Z, wx, wy, wz, s4, eps)[0]
         if res == -1:
             ncap += 1
         elif res > 0:
@@ -566,14 +566,105 @@ def _per_seed_reference(cls, start, stop):
     return out_idx, out_size, nproc, ncay, ncap
 
 
+@pytest.mark.parametrize("eps", [1e-10, EPS, 1e-6, 1e-5])
+@pytest.mark.parametrize("cls,start,stop", [
+    (1, 0, 40_000),
+    (3, 0, 40_000),
+    (1, 1_700_000, 1_760_000),
+    (3, 27_000_000, 27_100_000),
+])
+def test_scan_matches_per_seed_reference_across_eps(cls, start, stop, eps):
+    # the prefilter's tolerances scale with eps, and each check must stay
+    # a necessary condition of the closure at every eps
+    out = _kernels.scan_chunk(cls, start, stop, KT, eps, "numpy")
+    assert out == _per_seed_reference(cls, start, stop, eps)
+
+
 @pytest.mark.parametrize("cls", [1, 3])
-def test_numpy_scan_matches_per_seed_closure_on_heavy_blocks(cls):
+def test_numpy_scan_matches_per_seed_closure_on_heavy_blocks(cls, monkeypatch):
     # the first 2^17 seeds of classes 1 and 3 send the most candidates to
-    # the closure (class 1: about 32,000), so they fill many lockstep
-    # batches and reach the hand-off to the per-seed closure
+    # the closure (class 1: about 2,000, class 3: about 12,000), so class 3
+    # fills several lockstep batches, and both reach the hand-off to the
+    # per-seed closure
+    rows, handed = [], []
+    lockstep, pylist = _kernels._close_lockstep, _kernels._close_pylist
+    monkeypatch.setattr(_kernels, "_close_lockstep",
+                        lambda seeds, *a: rows.append(len(seeds)) or lockstep(seeds, *a))
+    monkeypatch.setattr(_kernels, "_close_pylist",
+                        lambda *a: handed.append(a) or pylist(*a))
     out = _kernels.scan_chunk(cls, 0, 1 << 17, KT, EPS, "numpy")
+    monkeypatch.undo()
     assert out == _per_seed_reference(cls, 0, 1 << 17)
-    assert len(out[0]) > 100
+    assert len(out[0]) > 100 and handed
+    assert sum(rows) > (2 * _kernels._LOCKSTEP_ROWS if cls == 3 else _kernels._LOCKSTEP_ROWS)
+
+
+def _prefix_radix(cls):
+    return len(KT.dicts[_kernels.LAYOUTS[cls].axes[-1][1]])
+
+
+@pytest.mark.parametrize("cls", [1, 3])
+def test_scan_does_not_depend_on_how_a_range_is_split(cls):
+    # scan_chunk expands the kept prefixes of a range in groups of
+    # _NUMPY_BLOCK // radix; cutting the range elsewhere regroups them and
+    # must give the same survivors, in order, and the same counters
+    start, stop = 0, 1 << 23
+    radix = _prefix_radix(cls)
+    step = _kernels._NUMPY_BLOCK // radix
+    pref = np.arange(start // radix, stop // radix)
+    kept = pref[_kernels._prefix_keep(cls, pref, radix, KT, EPS, _kernels._Lookup(KT.s1),
+                                      _kernels._Lookup(KT.s4))]
+    assert len(kept) > step  # the whole range expands in more than one group
+    # inside a prefix of the first group, and inside the first prefix of
+    # the second group
+    cuts = [start, int(kept[step // 2]) * radix + 7, int(kept[step]) * radix + radix // 2, stop]
+    parts = [_kernels.scan_chunk(cls, a, b, KT, EPS, "numpy") for a, b in zip(cuts, cuts[1:])]
+    merged = (
+        [i for p in parts for i in p[0]],
+        [n for p in parts for n in p[1]],
+        *(sum(p[k] for p in parts) for k in (2, 3, 4)),
+    )
+    whole = _kernels.scan_chunk(cls, start, stop, KT, EPS, "numpy")
+    assert whole[0] and whole[3]
+    assert merged == whole
+
+
+def test_weight_ranges_of_the_float_error_bound():
+    # The module docstring bounds the prefilter's float error taking
+    # dictionary values in [-2, 2], hence |w| <= 8, except class 2, whose
+    # wx reads the computed Xp = X + (Yp - Y)/Z: |w| <= 18.2 over its grid.
+    assert np.abs(KT.s4).max() <= 2.0
+    size = _kernels.class_size(2, KT)
+    top = max(
+        np.abs(w).max()
+        for a in range(0, size, _kernels.CHUNK)
+        for w in _kernels._decode_vec(2, np.arange(a, min(size, a + _kernels.CHUNK)), KT)[3:]
+    )
+    assert 8.0 < top <= 18.2
+
+
+@pytest.mark.parametrize("cls", [1, 3])
+def test_prefix_checks_read_no_last_axis_value(cls):
+    # The prefix stage decodes each prefix at its first index and applies
+    # the result to every seed of the prefix.  Every value its checks and
+    # its Cayley test read must therefore be the same float at the
+    # prefix's last index; the weight they leave out must not be.
+    names, drop = _kernels._PREFIX[cls]
+    read = {w for w in ("wx", "wy", "wz") if w != drop}
+    for name in names:
+        links, p1, p2, w1, w2 = _kernels._CHECKS[name]
+        read |= {name, *links, p1, p2, w1, w2} - {drop}
+    if cls == 3:
+        read.add("Zp")
+    radix = _prefix_radix(cls)
+    pref = np.random.default_rng(cls).integers(0, _kernels.class_size(cls, KT) // radix, 50_000)
+    first, last = (
+        _kernels._Cols(zip(_kernels._SEED, _kernels._decode_vec(cls, pref * radix + k, KT)))
+        for k in (0, radix - 1)
+    )
+    for name in sorted(read):
+        assert np.array_equal(first[name].view(np.int64), last[name].view(np.int64)), name
+    assert not np.array_equal(first[drop], last[drop])
 
 
 # Scan seeds as (class, index), each closing to the size or result noted:
@@ -672,7 +763,7 @@ def test_lockstep_closure_cap(monkeypatch):
 
 def _lookup_probes(look, d, rng):
     edges = look.origin + np.arange(-2, look.size + 2) / look.scale
-    eps_d = 4.0 * EPS
+    eps_d = _kernels._TOL_VALUE * EPS
     return np.concatenate([
         d,
         np.nextafter(d, -np.inf),
@@ -701,7 +792,7 @@ def test_bucket_lookup_matches_searchsorted(name):
     largest = np.nextafter(D.min_gap / 2, 0.0)
     assert 2 * largest < D.min_gap
     for eps in (EPS, largest):
-        for tol in (eps, 4.0 * eps):
+        for tol in (eps, _kernels._TOL_VALUE * eps):
             ref = (np.abs(d[lo] - v) <= tol) | (np.abs(d[hi] - v) <= tol)
             assert np.array_equal(look.near(v, tol), ref)
 
