@@ -527,8 +527,10 @@ def test_close_float_worked_example():
     (3, 0, 0),
     (4, 0, 0),
 ])
-def test_scan_matches_per_seed_reference(cls, start, stop):
+def test_backend_parity(cls, start, stop):
     # the numpy scan, the production path, against the per-seed reference
+    # (the name dates from the retired second backend; it is kept so the
+    # test ids stay the same)
     out = _kernels.scan_chunk(cls, start, stop, KT, EPS, "numpy")
     assert out == _per_seed_reference(cls, start, stop)
 
