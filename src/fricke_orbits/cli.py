@@ -19,19 +19,17 @@ failure.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
-import re
 import sys
 import time
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _kernels
 from .cosine_sums import enumerate_vanishing
-from .fricke_action import Omega
+from .fricke_action import Omega, all_equivalences
 from .golden import GOLDEN_ROWS, GoldenRow, golden_row
 from .orbit_graphs import angle_label, build_graph, export_dot, graph_stats, point_labels
 from .orbit_search import (
@@ -56,75 +54,14 @@ from .parameter_maps import (
     omega_from_theta,
     theta_candidates_for_omega,
 )
-from .trig_field import CosSum, _fold, cos_value, from_rational
-
-
-# ---------------------------------------------------------------------------
-# lossless ring value <-> string codec
-
-_TERM_RE = re.compile(r"^(?:(\d+(?:/\d+)?)\*)?2cos\(pi\*(\d+)/(\d+)\)$")
-
-
-def cossum_to_str(v: CosSum) -> str:
-    """Canonical string form: cosine terms by rising angle, rational tail.
-
-    Angles are folded into (0, 1/2): 2cos(pi*q) with q > 1/2 is rewritten
-    as -2cos(pi*(1-q)), and the rational cosines (q in {0, 1/3, 1/2, 1})
-    move into the rational tail.
-    """
-
-    rat = Fraction(0)
-    folded: Dict[Tuple[int, int], Fraction] = {}
-    for (num, den), c in v.terms:
-        q = Fraction(num, den)
-        if q > Fraction(1, 2):
-            q, c = 1 - q, -c
-        if q == 0:
-            rat += c * 2
-        elif q == Fraction(1, 2):
-            continue
-        elif q == Fraction(1, 3):
-            rat += c
-        else:
-            key = (q.denominator, q.numerator)
-            folded[key] = folded.get(key, Fraction(0)) + c
-    terms = [(k, c) for k, c in folded.items() if c != 0]
-    terms.sort(key=lambda t: t[0])
-    parts = []
-    for (den, num), c in terms:
-        core = f"2cos(pi*{num}/{den})"
-        if c == 1:
-            parts.append(core)
-        elif c == -1:
-            parts.append("-" + core)
-        else:
-            parts.append(f"{c}*{core}")
-    if rat != 0 or not parts:
-        parts.append(str(rat))
-    out = parts[0]
-    for p in parts[1:]:
-        out += p if p.startswith("-") else "+" + p
-    return out
-
-
-def cossum_from_str(s: str) -> CosSum:
-    text = s.replace(" ", "")
-    if not text:
-        raise ValueError("empty ring literal")
-    out = from_rational(0)
-    for tok in re.findall(r"[+-]?[^+-]+", text):
-        sign = 1
-        if tok[0] == "+":
-            tok = tok[1:]
-        elif tok[0] == "-":
-            sign, tok = -1, tok[1:]
-        m = _TERM_RE.match(tok)
-        if m:
-            coeff = Fraction(m.group(1)) if m.group(1) else Fraction(1)
-            out = out + cos_value(int(m.group(2)), int(m.group(3))) * (sign * coeff)
-        else:
-            out = out + from_rational(sign * Fraction(tok))
-    return out
+from .trig_field import (
+    CosSum,
+    _fold,
+    cos_value,
+    cossum_from_str,
+    cossum_to_str,
+    from_rational,
+)
 
 
 def value_obj(v: CosSum) -> Dict[str, object]:
@@ -377,7 +314,6 @@ def _record_for_row(orbit_id: int) -> OrbitRecord:
 
 
 def cmd_graph(cfg: RunConfig, orbit_id: int) -> int:
-    cfg.validate()
     rec = _record_for_row(orbit_id)
     g = build_graph(rec)
     if cfg.fmt == "json":
@@ -427,9 +363,9 @@ def _published_related(cands: Sequence[Theta], row: GoldenRow, w: Omega) -> bool
     """Does the row's published theta belong to this candidate family?
 
     The published tuple may map to a permuted or sign-flipped variant of
-    the row's parameter triple; realize each of the 24 equivalences as a
-    signed permutation of the first three p values and compare against a
-    candidate once the parameters agree exactly.
+    the row's parameter triple; realize each of the 24 equivalences on the
+    first three angles, a sign -1 mapping angle a to 1 - a, and compare
+    against a candidate once the parameters agree exactly.
     """
 
     if row.theta is None or not cands:
@@ -437,16 +373,13 @@ def _published_related(cands: Sequence[Theta], row: GoldenRow, w: Omega) -> bool
     pub = make_theta(*row.theta)
     a = [_fold(q) for q in (pub.tx, pub.ty, pub.tz)]
     ainf = _fold(pub.tinf)
-    for perm in itertools.permutations(range(3)):
-        for flips in ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)):
-            coords = [
-                (1 - a[perm[i]]) if flips[i] else a[perm[i]] for i in range(3)
-            ]
-            cand = Theta(coords[0], coords[1], coords[2], ainf)
-            cw = omega_from_theta(cand)
-            if all((u - v).is_zero() for u, v in zip(cw, w)):
-                if cand in cands or d4_related(cand, cands[0]):
-                    return True
+    for perm, signs in all_equivalences():
+        coords = [a[perm[i]] if signs[i] > 0 else 1 - a[perm[i]] for i in range(3)]
+        cand = Theta(coords[0], coords[1], coords[2], ainf)
+        cw = omega_from_theta(cand)
+        if all((u - v).is_zero() for u, v in zip(cw, w)):
+            if cand in cands or d4_related(cand, cands[0]):
+                return True
     return False
 
 
@@ -511,17 +444,17 @@ def cmd_bench(cfg: RunConfig, span: int) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: FRICKE_THREADS or CPU count)")
-    common.add_argument("--eps", type=float, default=1e-8,
-                        help="float matching tolerance (default 1e-8)")
-    common.add_argument("--no-exact-verify", action="store_true",
-                        help="skip exact re-verification of each orbit")
-    common.add_argument("--format", dest="fmt", default=None,
-                        choices=("text", "json", "csv", "dot"),
-                        help="output format")
-    common.add_argument("--out", default=None, help="write output to this path")
+    """One parser per subcommand, each with only the common flags it reads."""
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="write output to this path")
+    eps = argparse.ArgumentParser(add_help=False)
+    eps.add_argument("--eps", type=float, default=1e-8,
+                     help="float matching tolerance (default 1e-8)")
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--threads", type=int, default=None,
+                     help="worker threads (default: FRICKE_THREADS or CPU count)")
+    run.add_argument("--no-exact-verify", dest="exact_verify", action="store_false",
+                     help="skip exact re-verification of each orbit")
 
     ap = argparse.ArgumentParser(
         prog="fricke-orbits",
@@ -529,51 +462,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("search", parents=[common], help="run the full enumeration")
+    s = sub.add_parser("search", parents=[run, eps, out], help="run the full enumeration")
+    s.add_argument("--format", dest="fmt", default="text", choices=("text", "json", "csv"),
+                   help="output format")
 
-    v = sub.add_parser("verify", parents=[common],
+    v = sub.add_parser("verify", parents=[run, eps, out],
                        help="compare a run against the reference table")
     v.add_argument("--golden", default=None, help="external golden JSON file")
     v.add_argument("--dump-golden", action="store_true",
                    help="print the embedded golden table as JSON and exit")
 
-    g = sub.add_parser("graph", parents=[common], help="DOT or stats for one orbit")
+    g = sub.add_parser("graph", parents=[out], help="DOT or stats for one orbit")
     g.add_argument("orbit", type=int, help="orbit id (1-45, reference table order)")
+    g.add_argument("--format", dest="fmt", default="dot", choices=("dot", "json"),
+                   help="output format")
 
-    c = sub.add_parser("cosine", parents=[common], help="vanishing cosine sums")
+    c = sub.add_parser("cosine", parents=[out], help="vanishing cosine sums")
     c.add_argument("--n", type=int, required=True, help="tuple length (2-6)")
     c.add_argument("--dens", type=int, default=None,
                    help="use all divisors of this number as denominators")
     c.add_argument("--max-den", type=int, default=None,
                    help="use all denominators up to this bound")
 
-    t = sub.add_parser("theta", parents=[common], help="recover theta for an orbit")
+    t = sub.add_parser("theta", parents=[out], help="recover theta for an orbit")
     t.add_argument("--orbit", type=int, required=True)
     t.add_argument("--max-den", type=int, default=30)
 
-    y = sub.add_parser("cayley", parents=[common], help="orbit on the vanishing-parameter surface")
+    y = sub.add_parser("cayley", parents=[out], help="orbit on the vanishing-parameter surface")
     y.add_argument("--ry", required=True, help="rational angle, e.g. 1/3")
     y.add_argument("--rz", required=True, help="rational angle, e.g. 1/3")
 
-    b = sub.add_parser("bt", parents=[common], help="apply one transformation to theta")
+    b = sub.add_parser("bt", parents=[out], help="apply one transformation to theta")
     b.add_argument("--name", required=True, choices=BT_NAMES)
     b.add_argument("--theta", required=True, help="four comma-separated rationals")
 
-    n = sub.add_parser("bench", parents=[common], help="time the float scan per class")
+    n = sub.add_parser("bench", parents=[eps, out], help="time the float scan per class")
     n.add_argument("--span", type=int, default=1 << 17,
                    help="configurations per class (default 131072)")
 
     return ap
 
 
-def _config_from(args: argparse.Namespace, default_fmt: str = "text") -> RunConfig:
-    return RunConfig(
-        threads=args.threads,
-        eps=args.eps,
-        exact_verify=not args.no_exact_verify,
-        fmt=args.fmt or default_fmt,
-        out=args.out,
-    )
+def _config_from(args: argparse.Namespace) -> RunConfig:
+    """The RunConfig of the flags the subcommand took; defaults for the rest."""
+    given = vars(args)
+    return RunConfig(**{f.name: given[f.name] for f in fields(RunConfig) if f.name in given})
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -588,7 +521,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 return 0
             return cmd_verify(cfg, args.golden)
         if args.command == "graph":
-            return cmd_graph(_config_from(args, default_fmt="dot"), args.orbit)
+            return cmd_graph(_config_from(args), args.orbit)
         if args.command == "cosine":
             return cmd_cosine(_config_from(args), args.n, args.dens, args.max_den)
         if args.command == "theta":

@@ -34,7 +34,6 @@ def _R(num: int, den: int = 1) -> CosSum:
 
 # 2cos(pi/5) = (1+sqrt5)/2, the golden ratio.
 _G = _C(1, 5)
-_SQRT5 = 2 * _G - 1
 _SQRT2 = _C(1, 4)
 
 

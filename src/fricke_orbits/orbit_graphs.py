@@ -3,7 +3,7 @@
 A closed orbit induces a pseudograph on its points: each generator in
 {x, y, z} is an involution, so per color every vertex either carries a
 self-loop (fixed point) or is matched with exactly one partner.  This
-module rebuilds that matching structure from an orbit record, checks the
+module reads that matching structure from a verified orbit record, checks the
 structural invariants the construction guarantees, decides whether the
 even-word subgroup still acts transitively, and renders deterministic
 DOT text with angle-triple vertex labels.
@@ -14,14 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .fricke_action import (
-    Point3,
-    PointSet,
-    apply,
-    cosine_angle,
-    from_rational,
-)
-from .orbit_search import OrbitRecord
+from .fricke_action import Point3, cosine_angle, from_rational
+from .orbit_search import OrbitRecord, verify_record
 
 COLOR_NAMES = ("x", "y", "z")
 
@@ -57,32 +51,16 @@ class ColoredGraph:
 
 
 def build_graph(rec: OrbitRecord) -> ColoredGraph:
-    """Rebuild the colored graph of a closed record by reapplying the action.
+    """The colored graph of a closed record, after an exact re-check.
 
     Vertex i gets a color-c edge to j iff generator c maps point i to
-    point j (a self-loop when fixed).  The result must agree with the
-    neighbor bookkeeping stored during closure; any disagreement means
-    the record is corrupt.
+    point j (a self-loop when fixed).  `verify_record` confirms every such
+    edge of the stored neighbor table and surface membership, and raises
+    ValueError on a corrupt record.
     """
 
-    ps = PointSet()
-    for p in rec.points:
-        ps.add(tuple(p))
-    matchings: List[Matching] = []
-    for c, g in enumerate(COLOR_NAMES):
-        m: List[int] = []
-        for i, p in enumerate(rec.points):
-            j = ps.find(apply(g, p, rec.omega))
-            if j is None:
-                raise ValueError(f"record not closed: image of {i} under {g} missing")
-            m.append(j)
-        if tuple(m) != rec.neighbors[c]:
-            raise ValueError(f"neighbor table for {g} disagrees with the action")
-        matchings.append(tuple(m))
-    g_out = ColoredGraph(size=rec.size, matchings=tuple(matchings))
-    for c in range(3):
-        _assert_involution(g_out, c)
-    return g_out
+    verify_record(rec)
+    return ColoredGraph(size=rec.size, matchings=rec.neighbors)
 
 
 def _assert_involution(g: ColoredGraph, c: int) -> None:

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -74,25 +75,6 @@ def _fold(fr: Fraction) -> Fraction:
     return Fraction(*_fold_int(fr.numerator, fr.denominator))
 
 
-@dataclass(frozen=True, slots=True)
-class RationalAngle:
-    """Canonical angle num/den in units of pi, folded into [0, 1].
-
-    (0, 1) and (1, 1) encode the constants 2cos(0) = 2 and 2cos(pi) = -2.
-    """
-
-    num: int
-    den: int
-
-    @staticmethod
-    def make(num: Rational, den: int = 1) -> "RationalAngle":
-        fr = Fraction(num, den)
-        return RationalAngle(*_fold_int(fr.numerator, fr.denominator))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{self.num}/{self.den}*pi"
-
-
 def _common_den(terms) -> int:
     """Least common denominator of the coefficients of canonical terms."""
     q = 1
@@ -108,13 +90,8 @@ def _normalize_terms(raw: Mapping) -> Dict[Tuple[int, int], Fraction]:
         c = Fraction(coeff)
         if c == 0:
             continue
-        if isinstance(key, RationalAngle):
-            ang = key
-        elif isinstance(key, tuple):
-            ang = RationalAngle.make(key[0], key[1])
-        else:
-            ang = RationalAngle.make(key)
-        pair = (ang.num, ang.den)
+        fr = Fraction(*key) if isinstance(key, tuple) else Fraction(key)
+        pair = _fold_int(fr.numerator, fr.denominator)
         acc[pair] = acc.get(pair, Fraction(0)) + c
     return acc
 
@@ -140,7 +117,7 @@ class CosSum:
     __slots__ = ("terms", "_float")
     __hash__ = None  # type: ignore[assignment]
 
-    def __init__(self, raw: Mapping = ()):  # raw: {(num, den) | RationalAngle: coeff}
+    def __init__(self, raw: Mapping = ()):  # raw: {(num, den) | rational: coeff}
         self._finish(_normalize_terms(dict(raw)))
 
     @classmethod
@@ -337,7 +314,7 @@ class CosSum:
         return _symmetrize(el.coeffs, el.level)
 
     def __repr__(self) -> str:
-        return f"CosSum({format_cos_sum(self)})"
+        return f"CosSum({cossum_to_str(self)})"
 
 
 # -- cyclotomic normal form ----------------------------------------------------
@@ -500,23 +477,10 @@ def _symmetrize(coeffs: Sequence[Fraction], level: int) -> CosSum:
     return CosSum._canon(acc)
 
 
-def _poly_rem_frac(num, phi):
-    num = list(num)
-    dn = len(phi) - 1
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c:
-            for j in range(dn + 1):
-                num[i - dn + j] -= c * phi[j]
-    del num[dn:]
-    while num and num[-1] == 0:
-        num.pop()
-    return num
-
-
 def _poly_inverse_mod(a, phi):
     """Extended Euclid in Q[x]: inverse of a modulo phi (phi irreducible)."""
-    r0, r1 = [Fraction(c) for c in phi], _poly_rem_frac(a, phi)
+    r0 = [Fraction(c) for c in phi]
+    r1 = _poly_divmod_frac(a, r0)[1]
     s0, s1 = [], [Fraction(1)]
     while r1:
         if len(r1) == 1:  # unit reached
@@ -575,13 +539,8 @@ def _poly_sub(a, b):
 
 def cos_value(r, den: int = None) -> CosSum:
     """The ring element 2cos(pi*r)."""
-    if isinstance(r, RationalAngle):
-        ang = r
-    elif den is not None:
-        ang = RationalAngle.make(r, den)
-    else:
-        ang = RationalAngle.make(Fraction(r))
-    return CosSum({ang: Fraction(1)})
+    fr = Fraction(r) if den is None else Fraction(r, den)
+    return CosSum._canon({_fold_int(fr.numerator, fr.denominator): Fraction(1)})
 
 
 def from_rational(q: Rational) -> CosSum:
@@ -632,30 +591,68 @@ def compare_tuples(a: Sequence[CosSum], b: Sequence[CosSum]) -> int:
     return (len(a) > len(b)) - (len(a) < len(b))
 
 
-def format_cos_sum(a: CosSum) -> str:
-    """Canonical human-readable form, e.g. '2cos(pi*1/5)-2cos(pi*2/5)+3/2'."""
-    if not a.terms:
-        return "0"
+# -- lossless ring value <-> string codec ---------------------------------------
+
+_TERM_RE = re.compile(r"^(?:(\d+(?:/\d+)?)\*)?2cos\(pi\*(\d+)/(\d+)\)$")
+
+
+def cossum_to_str(v: CosSum) -> str:
+    """Canonical string form: cosine terms by rising angle, rational tail.
+
+    Angles are folded into (0, 1/2): 2cos(pi*q) with q > 1/2 is rewritten
+    as -2cos(pi*(1-q)), and the rational cosines (q in {0, 1/3, 1/2, 1})
+    move into the rational tail.
+    """
+
+    rat = Fraction(0)
+    folded: Dict[Tuple[int, int], Fraction] = {}
+    for (num, den), c in v.terms:
+        q = Fraction(num, den)
+        if q > Fraction(1, 2):
+            q, c = 1 - q, -c
+        if q == 0:
+            rat += c * 2
+        elif q == Fraction(1, 2):
+            continue
+        elif q == Fraction(1, 3):
+            rat += c
+        else:
+            key = (q.denominator, q.numerator)
+            folded[key] = folded.get(key, Fraction(0)) + c
+    terms = [(k, c) for k, c in folded.items() if c != 0]
+    terms.sort(key=lambda t: t[0])
     parts = []
-    for (num, den), c in a.terms:
-        if (num, den) == (0, 1):
-            val = 2 * c
-            parts.append((f"{val}", val >= 0))
-        elif (num, den) == (1, 1):
-            val = -2 * c
-            parts.append((f"{val}", val >= 0))
+    for (den, num), c in terms:
+        core = f"2cos(pi*{num}/{den})"
+        if c == 1:
+            parts.append(core)
+        elif c == -1:
+            parts.append("-" + core)
         else:
-            if c == 1:
-                body = f"2cos(pi*{num}/{den})"
-            elif c == -1:
-                body = f"-2cos(pi*{num}/{den})"
-            else:
-                body = f"{c}*2cos(pi*{num}/{den})"
-            parts.append((body, not body.startswith("-")))
-    out = ""
-    for text, positive in parts:
-        if out and positive:
-            out += "+" + text
+            parts.append(f"{c}*{core}")
+    if rat != 0 or not parts:
+        parts.append(str(rat))
+    out = parts[0]
+    for p in parts[1:]:
+        out += p if p.startswith("-") else "+" + p
+    return out
+
+
+def cossum_from_str(s: str) -> CosSum:
+    text = s.replace(" ", "")
+    if not text:
+        raise ValueError("empty ring literal")
+    out = from_rational(0)
+    for tok in re.findall(r"[+-]?[^+-]+", text):
+        sign = 1
+        if tok[0] == "+":
+            tok = tok[1:]
+        elif tok[0] == "-":
+            sign, tok = -1, tok[1:]
+        m = _TERM_RE.match(tok)
+        if m:
+            coeff = Fraction(m.group(1)) if m.group(1) else Fraction(1)
+            out = out + cos_value(int(m.group(2)), int(m.group(3))) * (sign * coeff)
         else:
-            out += text
+            out = out + from_rational(sign * Fraction(tok))
     return out

@@ -120,6 +120,23 @@ def test_main_rejects_backend_flag_as_usage_error(capsys):
     assert "--backend" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "--format", "dot"],
+    ["graph", "1", "--format", "csv"],
+], ids=["search-dot", "graph-csv"])
+def test_main_rejects_unsupported_format_before_any_work(monkeypatch, capsys, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the format was checked")
+
+    monkeypatch.setattr("fricke_orbits.cli.full_search", no_work)
+    monkeypatch.setattr("fricke_orbits.cli.close_orbit", no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--format" in err and "Traceback" not in err
+
+
 def test_main_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main([])

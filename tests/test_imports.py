@@ -1,4 +1,5 @@
-"""Every name a module under src/ or tests/ imports is used in that module.
+"""Every name a module under src/ or tests/ imports is used in that module,
+and every private module-level name defined under src/ is read there.
 
 Package __init__ modules re-export on purpose and are left out, as are
 names listed in a module's __all__ and __future__ imports.
@@ -73,3 +74,72 @@ def test_checker_flags_only_unread_names():
 @pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(ROOT)) for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _module_level_names(tree: ast.Module):
+    """(line, name) of each function, class and assigned name at top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                for n in ast.walk(t):
+                    if isinstance(n, ast.Name):
+                        yield node.lineno, n.id
+
+
+def unread_private_names(sources: dict) -> list:
+    """(module, line, name) of each module-level _name that no module reads.
+
+    A name counts as read when it is loaded, loaded as an attribute
+    (``_kernels._TOL_VALUE``) or imported by name, in any of the sources.
+    """
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+            elif isinstance(n, ast.alias):
+                read.add(n.name)
+    return sorted(
+        (mod, line, name)
+        for mod, tree in trees.items()
+        for line, name in _module_level_names(tree)
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    )
+
+
+def test_private_name_checker_flags_only_unread_names():
+    sources = {
+        "a": (
+            "_local = 1\n"
+            "_attr, _unread = 2, 3\n"
+            "_imported: int = 4\n"
+            "__dunder__ = 5\n"
+            "public = _local\n"
+            "def _dead():\n"
+            "    _inner = 6\n"
+            "class _Gone:\n"
+            "    pass\n"
+        ),
+        "b": (
+            "from a import _imported\n"
+            "import a\n"
+            "a._attr\n"
+            "_dead = 7\n"
+        ),
+    }
+    assert unread_private_names(sources) == [
+        ("a", 2, "_unread"), ("a", 6, "_dead"), ("a", 8, "_Gone"), ("b", 4, "_dead"),
+    ]
+
+
+def test_no_unread_private_names():
+    sources = {
+        str(p.relative_to(ROOT)): p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))
+    }
+    assert unread_private_names(sources) == []

@@ -750,6 +750,27 @@ def test_lockstep_closure_link_into_filled_slot():
     assert got[0] == 0
 
 
+# With the quarters and eps = 0.02, this seed's x-image -0.018 links back
+# to the seed itself, 0.9*eps away, and its closure accepts it at 2 points.
+# The check ay recomputes the y-image from that x-image: -0.054, 2.7*eps
+# from the value 0 the closure used, and 2.7*eps from every quarter.
+_NEAR_LINK_SEED = (0.0, 0.0, -3.0, -0.018, 0.0, -3.0)
+
+
+def test_checks_accept_seed_linked_near_eps():
+    # Every check is a necessary condition for the closure to accept a
+    # seed; a tolerance too tight for a second-shell image breaks that.
+    eps = 0.02
+    res, P, N = _kernels._close_pylist(*_NEAR_LINK_SEED, _QUARTERS, eps)
+    assert res == 2 and N[0][0] == 0
+    cols = _kernels._Cols(zip(_kernels._SEED, np.array(_NEAR_LINK_SEED)[:, None]))
+    used = P[1][N[1][N[0][0]]]
+    assert abs(cols["ay"][0] - used) > 2.5 * eps
+    look = _kernels._Lookup(np.array(_QUARTERS))
+    for name in sorted(set().union(*_kernels._ORDER.values())):
+        assert _kernels._check(cols, name, look, eps).all(), name
+
+
 def test_lockstep_closure_doubly_fixed_append():
     seeds = _in_lockstep(_seed_rows([(2, 718724), (1, 1411874), (3, 3275069)]))
     assert _lockstep_results(seeds)[::_kernels._LOCKSTEP_HANDOFF + 1] == [5, 36, 10]
