@@ -9,7 +9,7 @@ module operations.  `bench` times the float scan of each class.
 
 Output rules: everything written to stdout (or --out) depends only on
 the inputs, never on thread count or timing, so repeated runs are byte
-identical; progress and timing go to stderr.  JSON values that are not
+identical; diagnostics and timing go to stderr.  JSON values that are not
 rational are emitted as canonical cosine-ring strings together with a
 float convenience field.  Exit codes: 0 success, 2 verification
 mismatch (also argparse usage errors), 3 internal cap or consistency

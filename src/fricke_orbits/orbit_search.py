@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from itertools import combinations_with_replacement
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -600,7 +600,6 @@ def full_search(
     eps: float = EPS,
     exact_verify: bool = True,
     backend: Optional[str] = None,
-    progress: Optional[Callable[[int, int], None]] = None,
 ) -> SearchResult:
     """Scan all four arenas and return the verified exceptional orbits.
 
@@ -627,7 +626,6 @@ def full_search(
         size = _kernels.class_size(cls, kt)
         for start in range(0, size, _kernels.CHUNK):
             tasks.append((cls, start, min(size, start + _kernels.CHUNK)))
-    total = sum(b - a for _, a, b in tasks)
 
     def run(task):
         cls, a, b = task
@@ -637,7 +635,6 @@ def full_search(
     processed = {1: 0, 2: 0, 3: 0, 4: 0}
     ncay = 0
     ncap = 0
-    done = 0
     with ThreadPoolExecutor(max_workers=threads) as ex:
         for task, res in zip(tasks, ex.map(run, tasks)):
             idxs, sizes, nproc, cay, cap = res
@@ -647,9 +644,6 @@ def full_search(
             survivors.extend(
                 (task[0], int(i), int(s)) for i, s in zip(idxs, sizes)
             )
-            done += task[2] - task[1]
-            if progress is not None:
-                progress(done, total)
 
     # records of size <= 4 always belong to a parametric family; bucket
     # them by size and run the exact pipeline only on the rest

@@ -771,6 +771,31 @@ def test_checks_accept_seed_linked_near_eps():
         assert _kernels._check(cols, name, look, eps).all(), name
 
 
+def test_checks_accept_second_shell_fixed_point_near_eps():
+    # The seed (1, 2100105) closes at 6 points, and its second-shell images
+    # bx and cx are doubly-fixed points: no s4 value or link lies within
+    # _TOL_VALUE*eps of them.  Moving wx by 0.8*eps leaves the closure's
+    # result, which tests fixed points within eps, and puts the fixed-point
+    # equations of both images 0.8*eps off, so only the fixed-point
+    # tolerance accepts them.
+    seed = list(_kernels.decode_float(1, 2100105, KT)[:6])
+    seed[3] += 0.8 * EPS
+    assert _kernels._close_pylist(*seed, KT.s4.tolist(), EPS)[0] == 6
+    cols = _kernels._Cols(zip(_kernels._SEED, np.array(seed)[:, None]))
+    look = _kernels._Lookup(KT.s4)
+    eps_d = _kernels._TOL_VALUE * EPS
+    for name in ("bx", "cx"):
+        links, p1, p2, w1, w2 = _kernels._CHECKS[name]
+        v = cols[name]
+        assert not look.near(v, eps_d).any()
+        assert all(abs(v - cols[c])[0] > eps_d for c in links)
+        for a1, a2, w in ((p1, p2, w1), (p2, p1, w2)):
+            residual = abs(2.0 * cols[a1] + v * cols[a2] - cols[w])[0]
+            assert 0.7 * EPS < residual <= EPS
+    for name in sorted(set().union(*_kernels._ORDER.values())):
+        assert _kernels._check(cols, name, look, EPS).all(), name
+
+
 def test_lockstep_closure_doubly_fixed_append():
     seeds = _in_lockstep(_seed_rows([(2, 718724), (1, 1411874), (3, 3275069)]))
     assert _lockstep_results(seeds)[::_kernels._LOCKSTEP_HANDOFF + 1] == [5, 36, 10]

@@ -1,9 +1,11 @@
 import functools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from fricke_orbits import fricke_action, trig_field
@@ -327,6 +329,12 @@ def test_term_arithmetic_matches_fraction_reference():
              cos_value(3, 4) * Fraction(-7, 3), cos_value(1, 5) - cos_value(2, 5)]
     assert (cos_value(1, 4) * cos_value(1, 4)).terms == (((0, 1), 1),)
     assert (cos_value(1, 3) * cos_value(2, 3)).terms == (((1, 1), 1), ((1, 3), 1))
+    # CosSum converts a coefficient as numerator / denominator, the double
+    # float(Fraction) gives, bit for bit, also past the range of a double
+    for c in [c for a in pool for _, c in a.terms] + [
+            Fraction(10 ** 30 + 1, 7), Fraction(-2 ** 80, 3 ** 40), Fraction(1, 3 ** 700),
+            Fraction(7 ** 400, 3 ** 400 + 1)]:
+        assert (c.numerator / c.denominator).hex() == float(c).hex()
     for _ in range(400):
         a, b = rng.choice(pool), rng.choice(pool)
         q = rng.choice([rng.randint(-4, 4) or 3,
@@ -449,12 +457,7 @@ def test_cyclotomic_poly_matches_reference():
     assert _mobius_cyclotomic_poly(105) == _ref_cyclotomic_poly(105)
 
 
-@pytest.mark.parametrize("dens", [
-    (64,), (81,), (121,),              # prime-power levels
-    (385,), (1155,), (2730,),          # squarefree levels
-    (8, 9, 5, 7), (12, 35), (2520,), (3080,), (4, 6, 10, 15),  # mixed
-], ids=lambda dens: "-".join(map(str, dens)))
-def test_to_cyclotomic_matches_dense_reduction(dens):
+def _level_set_values(dens):
     rng = random.Random(sum(dens))
     # 2**50 starts in int64 and usually outgrows its bound mid-division;
     # 10**30 starts on Python ints
@@ -465,12 +468,131 @@ def test_to_cyclotomic_matches_dense_reduction(dens):
                 den = rng.choice(dens)
                 terms[(rng.randrange(0, 2 * den), den)] = Fraction(
                     rng.randint(-big, big), rng.choice((1, 2, 3, 7)))
+            yield CosSum(terms)
+
+
+def _every_level_values():
+    """Values at each level L in 1..120: a term 2cos(pi/L) fixes the level,
+    the others lie at divisors of L.  Level 2 cannot occur, since its only
+    new term 2cos(pi/2) = 0 is never stored."""
+    assert CosSum({(1, 2): 1}).terms == ()
+    rng = random.Random(120)
+    for level in range(1, 121):
+        if level == 2:
+            continue
+        dens = [d for d in range(1, level + 1) if level % d == 0]
+        for big in (3, 2 ** 50, 10 ** 30):
+            terms = {(1, level): Fraction(rng.randint(1, big), rng.choice((1, 2, 3)))}
+            for _ in range(rng.randint(0, 5)):
+                den = rng.choice(dens)
+                terms[(rng.randrange(0, 2 * den), den)] = Fraction(
+                    rng.randint(-big, big), rng.choice((1, 2, 3, 7)))
             a = CosSum(terms)
-            el = to_cyclotomic(a)
-            assert (el.level, el.coeffs) == _ref_to_cyclotomic(a)
-            assert all(type(c) is Fraction for c in el.coeffs)
-            assert el.common > 0 and math.gcd(el.common, *el.numer) == 1
-            assert el.is_zero() == all(c == 0 for c in el.coeffs)
+            assert math.lcm(*(d for (_, d), _ in a.terms)) == level
+            yield a
+
+
+def _dense_3080_value():
+    """At least 500 terms at level 3080, with small coefficients."""
+    rng = random.Random(3080)
+    terms = {(k, 3080): Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 5)))
+             for k in rng.sample(range(3081), 540)}
+    a = CosSum(terms)
+    assert len(a.terms) >= 500
+    return a
+
+
+# Level 3080, below 2**62 in every entry of the class table: the divisions
+# by Phi_2 and Phi_10 stay in int64, the one by Phi_70 passes the bound and
+# goes on in Python ints, and Phi_770 divides those
+_OBJECT_INNER = CosSum({(1, 8): 2 ** 58, (1, 3080): 1, (3, 7): 2 ** 59,
+                        (209, 280): 2 ** 60})
+
+
+@pytest.mark.parametrize("values", [
+    pytest.param(functools.partial(_level_set_values, dens), id="-".join(map(str, dens)))
+    for dens in [
+        (64,), (81,), (121,),              # prime-power levels
+        (385,), (1155,), (2730,),          # squarefree levels
+        (8, 9, 5, 7), (12, 35), (2520,), (3080,), (4, 6, 10, 15),  # mixed
+    ]
+] + [
+    pytest.param(_every_level_values, id="every-level-1-120"),
+    pytest.param(lambda: [_dense_3080_value()], id="dense-3080"),
+    pytest.param(lambda: [_OBJECT_INNER], id="object-inner-3080"),
+])
+def test_to_cyclotomic_matches_dense_reduction(values):
+    for a in values():
+        el = to_cyclotomic(a)
+        assert (el.level, el.coeffs) == _ref_to_cyclotomic(a), el.level
+        assert all(type(c) is Fraction for c in el.coeffs)
+        assert el.common > 0 and math.gcd(el.common, *el.numer) == 1
+        assert el.is_zero() == all(c == 0 for c in el.coeffs)
+
+
+def _record_row_divisions(monkeypatch):
+    """Record (len(den), columns cleared, input dtype, output dtype) for
+    every _divmod_rows call."""
+    calls = []
+    divide = trig_field._divmod_rows
+
+    def recording(rows, den):
+        quot, rem = divide(rows, den)
+        calls.append((len(den), quot.shape[1], np.asarray(rows).dtype, rem.dtype))
+        return quot, rem
+
+    monkeypatch.setattr(trig_field, "_divmod_rows", recording)
+    return calls
+
+
+def test_object_path_starts_inside_the_reduction(monkeypatch):
+    to_cyclotomic(_OBJECT_INNER)  # build the polynomials first
+    calls = _record_row_divisions(monkeypatch)
+    to_cyclotomic(_OBJECT_INNER)
+    assert [c[0] - 1 for c in calls] == [1, 4, 24, 240]  # Phi_2, 10, 70, 770
+    assert [str(c[2]) for c in calls] == ["int64", "int64", "int64", "object"]
+    assert [str(c[3]) for c in calls] == ["int64", "int64", "object", "object"]
+
+
+def test_reduction_clears_sum_of_prefix_totients(monkeypatch):
+    # level 3080: n = 6160 = 8 * 770, 770 = 2*5*7*11.  One division by
+    # Phi_770 clears 770 - phi(770) = 530 columns; one prime at a time
+    # clears phi(1) + phi(2) + phi(10) + phi(70) = 1 + 1 + 4 + 24 = 30
+    a = _dense_3080_value()
+    want = to_cyclotomic(a)
+    calls = _record_row_divisions(monkeypatch)
+    assert to_cyclotomic(a) == want
+    assert [c[0] - 1 for c in calls] == [_totient(m) for m in (2, 10, 70, 770)]
+    assert [c[1] for c in calls] == [_totient(m) for m in (1, 2, 10, 70)]
+    assert sum(c[1] for c in calls) == 30 == sum(_totient(m) for m in (1, 2, 10, 70))
+    assert 770 - _totient(770) == 530
+
+
+def test_reduction_holds_two_class_tables_at_most():
+    """tracemalloc peak of one dense level-3080 call: at most two s x r
+    int64 tables (s = 8, r = 770) beside the map from exponents to
+    numerators that the call builds first."""
+    a = _dense_3080_value()
+    want = to_cyclotomic(a)  # build the polynomials first
+    level, n = 3080, 6160
+    common = math.lcm(*(c.denominator for _, c in a.terms))
+    tracemalloc.start()
+    exps = {}
+    for (num, den), c in a.terms:
+        k = num * (level // den)
+        for e in (k % n, -k % n):
+            exps[e] = exps.get(e, 0) + c.numerator * (common // c.denominator)
+    entry_map = tracemalloc.get_traced_memory()[0]
+    del exps
+    tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        el = to_cyclotomic(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert el == want
+    assert peak <= 2 * 8 * 770 * 8 + entry_map, (peak, entry_map)
 
 
 def test_row_division_restarts_exactly_past_int64():
