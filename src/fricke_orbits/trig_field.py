@@ -373,7 +373,10 @@ _INT64_SAFE = 1 << 62
 
 
 def _absmax(a: np.ndarray) -> int:
-    """max |a| as a Python int, without an array of absolute values."""
+    """max |a| as a Python int, without an array of absolute values.  A
+    short array goes through a list, which costs less than two reductions."""
+    if a.size <= 64:
+        return max(map(abs, a.ravel().tolist()))
     return max(int(a.max()), -int(a.min()))
 
 
