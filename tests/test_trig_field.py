@@ -564,8 +564,7 @@ def test_reduction_clears_sum_of_prefix_totients(monkeypatch):
     assert to_cyclotomic(a) == want
     assert [c[0] - 1 for c in calls] == [_totient(m) for m in (2, 10, 70, 770)]
     assert [c[1] for c in calls] == [_totient(m) for m in (1, 2, 10, 70)]
-    assert sum(c[1] for c in calls) == 30 == sum(_totient(m) for m in (1, 2, 10, 70))
-    assert 770 - _totient(770) == 530
+    assert sum(c[1] for c in calls) == 30
 
 
 def test_reduction_holds_two_class_tables_at_most():
