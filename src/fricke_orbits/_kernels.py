@@ -26,18 +26,32 @@ are closed.  It works in stages on a shrinking set of seeds:
    of that weight (class 1: ay and bx; class 3: cy and bz), and keeps
    every prefix whose other weights are within eps of 0, since it may
    hold a Cayley seed; class 3 also keeps only prefixes with Zp in s1.
-2. Grouping.  The prefix stage runs on blocks of _NUMPY_BLOCK // radix
-   prefixes.  Kept prefixes are collected across blocks, in index order,
-   and expanded over the last axis (31 or 83 values) and decoded in full
-   _NUMPY_BLOCK // radix at a time.  Classes 2 and 4 have no prefix
-   stage: their blocks expand as they are.
-3. Cayley seeds are counted on the expanded seeds.
-4. The shell checks run one at a time, most rejecting first, and the
+2. Solve stage (classes 2 and 4).  Every check of these classes reads
+   the free axis, but two of them read it affinely: Zp and Yp in class 4
+   (axis Xp), Zp and bx in class 2 (axis X, per (row, Yp)).  Each
+   alternative of such a check is then solved for the axis instead of
+   tested on every seed: a value by a sorted join against the 83 * 83
+   differences of s4 (E. Horowitz and S. Sahni, J. ACM 21, 1974), a link
+   or a fixed-point equation as a window of the axis, or every value or
+   none where the axis drops out.  The stage keeps the seeds both checks
+   admit, and every seed of the Cayley window, where the weight w (class
+   4) or wy (class 2), affine in the axis, is within eps of 0.  It works
+   on blocks of _NUMPY_BLOCK (row, last-axis value) pairs and marks the
+   seeds, in index order, at most _NUMPY_BLOCK at a time: class 4 keeps
+   about 0.2 % of its seeds, class 2 about 1.5 %.
+3. Grouping.  The first stage runs on blocks of _NUMPY_BLOCK values of
+   the last axis: _NUMPY_BLOCK // radix prefixes, or _NUMPY_BLOCK // 83
+   seed rows.  What it keeps, prefixes or seeds, is collected across
+   blocks, in index order; prefixes are expanded over the last axis (31
+   or 83 values), and the seeds are decoded in full, _NUMPY_BLOCK at a
+   time.
+4. Cayley seeds are counted on the expanded seeds.
+5. The shell checks run one at a time, most rejecting first, and the
    seed columns are compacted after each one.  Class 1 leaves out its
    first shell, whose images are s1 values by construction, and adds two
    third-shell checks: ayz, the z-image of (Xp, ay, Z), and bzx, the
    x-image of (X, Yp, bz).
-5. Cayley seeds are dropped from the candidates, which a lockstep
+6. Cayley seeds are dropped from the candidates, which a lockstep
    closure settles in batches of up to _LOCKSTEP_ROWS seeds: every seed
    of a batch advances one BFS slot per numpy iteration, with the float
    operations of _close_pylist in the same order, so each gets the result
@@ -53,7 +67,9 @@ with Zp in s1, and Cayley seeds counted, not closed);
 tests/test_orbit_search.py checks this against that per-seed loop, at
 several eps.  It does because every check is a necessary condition for
 the closure to accept the seed, and a prefix-stage condition is a check
-with one equation left out, so it is implied by the check: a seed a
+with one equation left out, so it is implied by the check; a solve stage
+is a check evaluated as a set, so the check implies it, and it keeps
+every Cayley seed besides, so the Cayley count is unchanged.  A seed a
 stage drops fails the full conjunction too, and evaluation order does
 not change a conjunction.  The class-1 first-shell checks, left out, are
 shown never to fail.  Nothing reported from this module is trusted
@@ -105,6 +121,25 @@ terms for any eps >= 1e-10.  Links to seed and first-shell values are
 extra alternatives, only weakening a check.  The smallest s4 gap is
 6.4e-3, so at the default eps = 1e-8 the tolerances cost no measurable
 selectivity.
+
+Why a solve stage keeps every seed its checks admit.  The stage computes
+each image, weight and fixed-point residual of a check from the seed row,
+the axis value and, in class 2, q = (Yp - Y)/Z as the decode computes
+it, not from the decoded seed: class 4's Zp as Xp + c with c = X + Y*Z -
+Z - X*Y, class 2's Zp as Z + Y*q, and so on.  Both sides are at most 15
+float operations on values below 64 (class 2's wx reaches 18.2, bx*Yp
+48), each rounding by at most 3.6e-15 and multiplied on by at most two
+values of s4, so they differ by less than 30 * 4 * 3.6e-15 = 4.3e-13;
+on sampled rows of both classes the largest difference is 1.4e-14
+(tests/test_orbit_search.py).  Every window is widened by
+_SOLVE_ROUND = 1e-12 beyond the check's tolerance (128 or 1024 eps, eps
+for a Cayley weight), in the units of the quantity tested, and by
+_SOLVE_ROUND again in the axis for the rounding of the division that
+turns |a*x + b| <= tol into a window of x: relative 2^-52 on a bound,
+below 1e-15 where the bound lies in [-4, 4], and beyond that it moves no
+dictionary entry across.  The pairwise differences are rounded by at
+most 4.4e-16.  So a seed whose checks pass on the decoded seed lies in a
+window or a joined pair of the stage, which keeps it.
 """
 
 from __future__ import annotations
@@ -259,10 +294,14 @@ def encode(cls: int, row: int, positions, dicts) -> int:
     return row
 
 
+def _row_size(cls: int, t: ScanTables) -> int:
+    """Number of flat indices per seed row of class cls: its axis sizes."""
+    return math.prod(len(t.dicts[d]) for _, d in layout(cls).axes)
+
+
 def class_size(cls: int, t: ScanTables) -> int:
     """Number of flat indices of class cls: seed rows times axis sizes."""
-    lay = layout(cls)
-    return len(t.seeds[cls][0]) * math.prod(len(t.dicts[d]) for _, d in lay.axes)
+    return _row_size(cls, t) * len(t.seeds[cls][0])
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +587,165 @@ def _prefix_keep(cls: int, pref: np.ndarray, radix: int, t: ScanTables, eps: flo
     return keep
 
 
+# Most a float quantity of the solve stage, computed from a seed row and an
+# axis value, differs from the same quantity as a check computes it from
+# the decoded seed (module docstring).
+_SOLVE_ROUND = 1e-12
+
+
+def _ranges(lo, hi):
+    """(k, j) for every j in [lo[k], hi[k]), by k, then j."""
+    n = np.maximum(hi - lo, 0)
+    k = np.repeat(np.arange(len(n)), n)
+    return k, np.arange(len(k)) - (np.cumsum(n) - n)[k] + lo[k]
+
+
+def _window(d, lo, hi):
+    """Index range [a, b) of the entries of sorted d within [lo, hi]."""
+    return np.searchsorted(d, lo), np.searchsorted(d, hi, "right")
+
+
+def _affine_window(d, a, b, tol):
+    """Index range of the entries x of sorted d with |a*x + b| <= tol,
+    widened by _SOLVE_ROUND for the rounding of the division; where a is
+    0, all of d or nothing."""
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u, v = (-tol - b) / a, (tol - b) / a
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+    flat = a == 0
+    every = np.abs(b) <= tol
+    lo = np.where(flat, np.where(every, -np.inf, np.inf), lo)
+    hi = np.where(flat, np.where(every, np.inf, -np.inf), hi)
+    return _window(d, lo - _SOLVE_ROUND, hi + _SOLVE_ROUND)
+
+
+def _window_mask(n, *windows):
+    """Mask of shape (*lo.shape, n), true at the j inside any index range
+    [lo, hi) given."""
+
+    mask = np.zeros(np.shape(windows[0][0]) + (n,), bool)
+    flat = mask.reshape(-1, n)
+    k, j = _ranges(*(np.concatenate([w[i].ravel() for w in windows]) for i in (0, 1)))
+    flat[k % len(flat), j] = True
+    return mask
+
+
+def _difference_join(d):
+    """The differences d[j] - d[i] of all pairs, sorted, and the i of each."""
+
+    diff = (d[None, :] - d[:, None]).ravel()
+    order = np.argsort(diff, kind="stable")
+    return diff[order], order // len(d)
+
+
+def _solve4(rows, t: ScanTables, eps: float, join):
+    """Sorted flat indices of the seeds of class-4 rows `rows` (consecutive)
+    that may pass both the Zp and the Yp check, or be Cayley seeds.
+
+    Every weight is w = Xp + base, base = X + Y*Z, so an image name in Zp,
+    Yp is Xp + c, c = base - coord - a*b by _IMAGES, and each alternative
+    of its check confines Xp: a value s4[j] = Xp + c to the i of the pairs
+    s4[j] - s4[i] = c of the difference join, a link to a window, the two
+    fixed-point equations, affine in Xp, to one window or every Xp.
+    """
+
+    s4, n = t.s4, len(t.s4)
+    row = dict(zip(LAYOUTS[4].seed, (c[rows] for c in t.seeds[4])))
+    base = row["X"] + row["Y"] * row["Z"]
+    tol_v = _TOL_VALUE * eps + _SOLVE_ROUND
+    tol_f = _TOL_FIXED * eps + _SOLVE_ROUND
+    diffs, first = join
+    # the two checks side by side: rows of Zp, then rows of Yp
+    cols = []
+    for name in ("Zp", "Yp"):
+        _, coord, a, b = _IMAGES[name]
+        (link,), p1, p2, _, _ = _CHECKS[name]
+        cols.append((base - row[coord] - row[a] * row[b], row[link], row[p1], row[p2]))
+    c, link, p1, p2 = (np.concatenate(v) for v in zip(*cols))
+    w0 = np.concatenate([base, base])
+    # 2*p1 + (Xp + c)*p2 = w and 2*p2 + (Xp + c)*p1 = w
+    lo1, hi1 = _affine_window(s4, p2 - 1.0, 2.0 * p1 + c * p2 - w0, tol_f)
+    lo2, hi2 = _affine_window(s4, p1 - 1.0, 2.0 * p2 + c * p1 - w0, tol_f)
+    lo_l, hi_l = _window(s4, link - c - tol_v, link - c + tol_v)
+    lo_f, hi_f = np.maximum(lo1, lo2), np.minimum(hi1, hi2)
+    pair, j = _ranges(*_window(diffs, c - tol_v, c + tol_v))
+    x = first[j]
+    # a mask per check, marked from its rows' windows and values
+    m = len(rows)
+    split = np.searchsorted(pair, m)
+    keep = True
+    for h, sel in ((slice(0, m), slice(0, split)), (slice(m, 2 * m), slice(split, None))):
+        mask = _window_mask(n, (lo_l[h], hi_l[h]), (lo_f[h], hi_f[h]))
+        mask[pair[sel] - h.start, x[sel]] = True
+        keep = keep & mask
+    # Cayley seeds: |w| <= eps
+    tol = eps + _SOLVE_ROUND
+    keep |= _window_mask(n, _window(s4, -base - tol, -base + tol))
+    return rows[0] * n + np.flatnonzero(keep)
+
+
+def _solve2(rows, t: ScanTables, eps: float, look4: _Lookup, join):
+    """Sorted flat indices of the seeds of class-2 rows `rows` (consecutive)
+    that may pass both the Zp and the bx check, or be Cayley seeds, in
+    index order, one array per run of rows of at most _NUMPY_BLOCK seeds.
+
+    With q = (Yp - Y)/Z as _params2 computes it, Xp = X + q, and neither
+    Zp = Z + Y*q nor c = bx - X = q + Z*(Y - Yp) reads X.  Per (row, Yp):
+    for Zp, a value or a link admits every X; the fixed-point equation of
+    wx, Zp*Y = q + Y*Z, does not read X, and that of wy, X*(Zp - Z) =
+    Yp - Y, confines X to a window.  For bx, a link to X or Xp admits every
+    X, a value s4[j] = X + c the i of the pairs s4[j] - s4[i] = c of the
+    difference join; the fixed-point equation of wy, Yp - Y + c*Z = 0, does
+    not read X, and that of wz, X*(Yp - Y) + c*Yp - q*Y = 0, confines X to
+    a window.  A Cayley seed has |wy| = |Y + Yp + X*Z| <= eps, one more
+    window of X.  These are solved for all (row, Yp) pairs at once; the
+    seeds are then marked a run of rows at a time.
+    """
+
+    s4, n = t.s4, len(t.s4)
+    row = dict(zip(LAYOUTS[2].seed, (c[rows, None] for c in t.seeds[2])))
+    Y, Z, Yp = row["Y"], row["Z"], s4[None, :]
+    tol_v = _TOL_VALUE * eps + _SOLVE_ROUND
+    tol_f = _TOL_FIXED * eps + _SOLVE_ROUND
+    diffs, first = join
+    q = (Yp - Y) / Z
+    zp = Z + Y * q
+    c = q + Z * (Y - Yp)
+    dy = Yp - Y
+    ranges = []
+    for every, fixed, (lo, hi) in (
+        (look4.near(zp, tol_v) | (np.abs(zp - Z) <= tol_v),
+         np.abs(zp * Y - q - Y * Z) <= tol_f,
+         _affine_window(s4, zp - Z, -dy, tol_f)),
+        ((np.abs(c) <= tol_v) | (np.abs(c - q) <= tol_v),
+         np.abs(dy + c * Z) <= tol_f,
+         _affine_window(s4, dy, c * Yp - q * Y, tol_f)),
+    ):
+        lo = np.where(every, 0, np.where(fixed, lo, n)).ravel()
+        hi = np.where(every, n, np.where(fixed, hi, 0)).ravel()
+        ranges.append((lo, hi))
+    (zlo, zhi), (blo, bhi) = ranges
+    # bx values inside Zp's window, then the windows of both checks
+    pair, j = _ranges(*_window(diffs, (c - tol_v).ravel(), (c + tol_v).ravel()))
+    x = first[j]
+    inside = (zlo[pair] <= x) & (x < zhi[pair])
+    pair, x = pair[inside], x[inside]
+    lo, hi = np.maximum(zlo, blo), np.minimum(zhi, bhi)
+    clo, chi = _affine_window(s4, np.broadcast_to(Z, zp.shape), Y + Yp, eps + _SOLVE_ROUND)
+    clo, chi = clo.ravel(), chi.ravel()
+    run = max(1, _NUMPY_BLOCK // _row_size(2, t))
+    cut = np.searchsorted(pair, np.arange(0, len(rows) + run, run) * n)
+    for r in range(0, len(rows), run):
+        a, b = r * n, min(len(rows), r + run) * n
+        # the mask is indexed (row, Yp, X); flat indices run (row, X, Yp)
+        keep = _window_mask(n, (lo[a:b], hi[a:b]), (clo[a:b], chi[a:b])).reshape(-1, n)
+        k = slice(cut[r // run], cut[r // run + 1])
+        keep[pair[k] - a, x[k]] = True
+        keep = keep.reshape(-1, n, n).transpose(0, 2, 1)
+        yield (rows[0] + r) * n * n + np.flatnonzero(keep)
+
+
 def _decode_vec(cls: int, idx, t: ScanTables):
     """(X, Y, Z, wx, wy, wz) of flat indices: float arrays, one entry per
     index of the int array idx, or floats for one int idx.  Raises
@@ -677,23 +875,23 @@ def scan_chunk(cls: int, start: int, stop: int, t: ScanTables, eps: float, backe
     """Scan one contiguous index range; returns (idx, size, processed, cayley, cap).
 
     backend must be "numpy", the one scan there is; anything else raises
-    ValueError.  The stages are those of the module docstring.  The prefix
-    stage runs on blocks of _NUMPY_BLOCK // radix prefixes (radix 1 for
-    classes 2 and 4, which have none); the kept prefixes are gathered
-    across blocks and expanded, decoded and checked _NUMPY_BLOCK // radix
-    at a time, so that no stage holds more than _NUMPY_BLOCK seeds.  Only
-    the first and the last prefix of the range are cut to [start, stop).
-    The candidates are gathered in index order and closed _LOCKSTEP_ROWS
-    at a time, each with the result the per-seed closure gives, so the
-    output is that of the full conjunction evaluated on every seed, and
-    does not depend on how a range is split into calls.
+    ValueError.  The stages are those of the module docstring.  The first
+    stage runs on blocks of _NUMPY_BLOCK values of the last axis: as many
+    prefixes idx // radix (classes 1 and 3, radix the last axis) or seed
+    rows idx // radix (classes 2 and 4, radix the seeds of a row).  What it
+    keeps, prefixes or flat indices, is gathered across blocks and
+    expanded, decoded and checked _NUMPY_BLOCK seeds at a time, so that no
+    stage holds more than _NUMPY_BLOCK seeds; the seeds are cut to
+    [start, stop) there.  The candidates are gathered in index order
+    and closed _LOCKSTEP_ROWS at a time, each with the result the per-seed
+    closure gives, so the output is that of the full conjunction evaluated
+    on every seed, and does not depend on how a range is split into calls.
     """
 
     if backend != "numpy":
         raise ValueError("unknown backend %r" % backend)
     look1, look4 = _Lookup(t.s1), _Lookup(t.s4)
     s4list = t.s4.tolist()
-    radix = len(t.dicts[LAYOUTS[cls].axes[-1][1]]) if cls in _PREFIX else 1
     out_idx = []
     out_size = []
     nproc = max(0, stop - start) - int(cls == 1 and start <= t.skip1 < stop)
@@ -710,12 +908,12 @@ def scan_chunk(cls: int, start: int, stop: int, t: ScanTables, eps: float, backe
         out_size.extend(res[res > 0].tolist())
         pend_idx, pend = pend_idx[m:], pend[m:]
 
-    def expand(pref):
+    def expand(kept):
         nonlocal ncay, pend_idx, pend
-        idx = pref
-        if radix > 1:
-            idx = (pref[:, None] * radix + np.arange(radix)).ravel()
-            idx = idx[np.searchsorted(idx, start):np.searchsorted(idx, stop)]
+        idx = kept
+        if cls in _PREFIX:
+            idx = (kept[:, None] * radix + np.arange(radix)).ravel()
+        idx = idx[np.searchsorted(idx, start):np.searchsorted(idx, stop)]
         if cls == 1:
             idx = idx[idx != t.skip1]
         cols = _Cols(zip(_SEED, _decode_vec(cls, idx, t)))
@@ -729,18 +927,31 @@ def scan_chunk(cls: int, start: int, stop: int, t: ScanTables, eps: float, backe
         while len(pend) >= _LOCKSTEP_ROWS:
             close(_LOCKSTEP_ROWS)
 
-    first, last = start // radix, -(-stop // radix)
-    step = _NUMPY_BLOCK // radix
+    axis = len(t.dicts[LAYOUTS[cls].axes[-1][1]])
+    if cls in _PREFIX:
+        radix, group = axis, _NUMPY_BLOCK // axis
+
+        def first_stage(pref):
+            yield pref[_prefix_keep(cls, pref, radix, t, eps, look1, look4)]
+    else:
+        radix, group = _row_size(cls, t), _NUMPY_BLOCK
+        join = _difference_join(t.s4)
+
+        def first_stage(rows):
+            if cls == 4:
+                yield _solve4(rows, t, eps, join)
+            else:
+                yield from _solve2(rows, t, eps, look4, join)
+
+    # a first-stage block holds _NUMPY_BLOCK values of the last axis
+    first, last, step = start // radix, -(-stop // radix), _NUMPY_BLOCK // axis
     kept = np.empty(0, np.int64)
     for a in range(first, last, step):
-        pref = np.arange(a, min(last, a + step), dtype=np.int64)
-        if radix > 1:
-            pref = pref[_prefix_keep(cls, pref, radix, t, eps, look1, look4)]
-        kept = np.concatenate([kept, pref])
-        if len(kept) >= step:
-            expand(kept[:step])
-            kept = kept[step:]
+        for part in first_stage(np.arange(a, min(last, a + step), dtype=np.int64)):
+            kept = np.concatenate([kept, part])
+            if len(kept) >= group:
+                expand(kept[:group])
+                kept = kept[group:]
     expand(kept)
     close(len(pend))
     return out_idx, out_size, nproc, ncay, ncap
-

@@ -34,6 +34,7 @@ from .golden import GOLDEN_ROWS, GoldenRow, golden_row
 from .orbit_graphs import angle_label, build_graph, export_dot, graph_stats, point_labels
 from .orbit_search import (
     CapError,
+    ConsistencyError,
     OrbitRecord,
     SearchResult,
     cayley_orbit,
@@ -533,7 +534,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "bench":
             return cmd_bench(_config_from(args), args.span)
         raise ValueError(f"unknown command {args.command!r}")
-    except CapError as exc:
+    except ConsistencyError as exc:
         print(f"internal failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

@@ -28,7 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,6 +57,7 @@ from .trig_field import (
 
 __all__ = [
     "CapError",
+    "ConsistencyError",
     "DictEntry",
     "Dictionaries",
     "GenConfig",
@@ -172,8 +173,9 @@ class SearchTables:
 
     tri1, pair2, pair3 and tri4 are the seed rows of classes 1-4, each a
     tuple of dictionary positions, one per seed coordinate of the class's
-    _kernels.LAYOUTS entry; the exact decode reads its values through
-    them.  kernel holds the same seeds as float columns for the scan.
+    _kernels.LAYOUTS entry (tri4, 98,770 rows, is a uint8 array of them);
+    the exact decode reads its values through them.  kernel holds the same
+    seeds as float columns for the scan.
     """
 
     dicts: Dictionaries
@@ -181,7 +183,7 @@ class SearchTables:
     tri1: Tuple[Tuple[int, int, int], ...]
     pair2: Tuple[Tuple[int, int], ...]
     pair3: Tuple[Tuple[int, int], ...]
-    tri4: Tuple[Tuple[int, int, int], ...]
+    tri4: np.ndarray
 
 
 def build_search_tables(d: Optional[Dictionaries] = None) -> SearchTables:
@@ -218,21 +220,23 @@ def build_search_tables(d: Optional[Dictionaries] = None) -> SearchTables:
                 pair3.append((iy, iz))
     assert len(pair3) == 256
 
-    # class 4: all three parameters coincide; sorted seed triples over s4
-    tri4 = list(combinations_with_replacement(range(83), 3))
+    # class 4: all three parameters coincide; sorted seed triples over s4,
+    # one uint8 row each: as tuples they took 6.8 MB
+    triples = combinations_with_replacement(range(83), 3)
+    tri4 = np.fromiter(chain.from_iterable(triples), np.uint8).reshape(-1, 3)
     assert len(tri4) == math.comb(85, 3)
 
-    # one float column per seed coordinate, indexed by its position list:
-    # an index array over whole rows took 2.7 MB more peak RSS (tri4)
+    # one float column per seed coordinate, indexed by its position column
     seeds = {}
     for cls, rows in ((1, tri1), (2, pair2), (3, pair3), (4, tri4)):
         values = floats[_kernels.LAYOUTS[cls].seed_dict]
-        seeds[cls] = tuple(values[[row[j] for row in rows]] for j in range(len(rows[0])))
+        positions = np.asarray(rows)
+        seeds[cls] = tuple(values[positions[:, j]] for j in range(positions.shape[1]))
     # the all-zero configuration appears in both class-1 chains; process it once
     zero = (zero1,) * 3
     skip1 = _kernels.encode(1, tri1.index(zero, 1), zero, floats)
     kt = _kernels.ScanTables(floats["s1"], floats["s4"], seeds, skip1)
-    return SearchTables(d, kt, tuple(tri1), tuple(pair2), tuple(pair3), tuple(tri4))
+    return SearchTables(d, kt, tuple(tri1), tuple(pair2), tuple(pair3), tri4)
 
 
 _TABLES: Optional[SearchTables] = None
@@ -299,7 +303,12 @@ def enumerate_class(
 # exact closure
 
 
-class CapError(RuntimeError):
+class ConsistencyError(RuntimeError):
+    """The pipeline contradicts itself: a float closure that does not
+    reproduce the scan, or a closed orbit the exact check rejects."""
+
+
+class CapError(ConsistencyError):
     """The closure exceeded its size cap without resolving."""
 
 
@@ -544,20 +553,26 @@ class SearchResult:
 
 
 def _float_orbit_key(pc: np.ndarray, ws, w4: float) -> tuple:
-    # quantize to a 1e-6 grid; a boundary miss only costs a duplicate
-    # exact closure, never a wrong table
+    """The least of the 24 symmetric images of a float orbit, each image
+    the tuple (w4, its w triple, its points sorted by (x, y, z)), on a 1e-6
+    grid; a boundary miss only costs a duplicate exact closure, never a
+    wrong table."""
+
+    # the 24 symmetries as coordinate indices and signs, in
+    # all_equivalences() order; images[t, c] is coordinate c of every
+    # point under symmetry t
+    perm, sign = np.array(all_equivalences()).transpose(1, 0, 2)
     grid = np.rint(pc * 1e6).astype(np.int64)
-    wsi = [int(round(v * 1e6)) for v in ws]
-    w4i = int(round(w4 * 1e6))
-    best = None
-    for perm, signs in all_equivalences():
-        tw = (wsi[perm[0]] * signs[0], wsi[perm[1]] * signs[1], wsi[perm[2]] * signs[2])
-        arr = np.stack([grid[perm[i]] * signs[i] for i in range(3)])
-        order = np.lexsort((arr[2], arr[1], arr[0]))
-        key = (w4i,) + tw + tuple(arr[:, order].T.reshape(-1).tolist())
-        if best is None or key < best:
-            best = key
-    return best
+    n = grid.shape[1]
+    images = grid[perm] * sign[:, :, None]
+    order = np.lexsort((images[:, 2].ravel(), images[:, 1].ravel(), images[:, 0].ravel(),
+                        np.repeat(np.arange(len(images)), n)))
+    points = images.transpose(0, 2, 1).reshape(-1, 3)[order].reshape(len(images), 3 * n)
+    wsi = np.rint(np.asarray(ws) * 1e6).astype(np.int64)
+    rows = np.column_stack([
+        np.full(len(images), round(w4 * 1e6)), wsi[perm] * sign, points,
+    ])
+    return tuple(min(rows.tolist()))
 
 
 def _record_cmp(a: OrbitRecord, b: OrbitRecord) -> int:
@@ -659,7 +674,10 @@ def full_search(
             X, Y, Z, wx, wy, wz, kt.s4, eps, want_points=True
         )
         if res != fsz:
-            raise RuntimeError("float closure is not reproducible")
+            raise ConsistencyError(
+                f"float closure is not reproducible: class {cls} index {idx} "
+                f"closes at {res} points, the scan gave {fsz}"
+            )
         key = _float_orbit_key(pc, (wx, wy, wz), w4)
         if key in seen:
             continue
@@ -693,7 +711,13 @@ def full_search(
 
     if exact_verify:
         for rec in records:
-            verify_record(rec)
+            try:
+                verify_record(rec)
+            except ValueError as exc:
+                raise ConsistencyError(
+                    f"orbit of class {rec.source[0]} index {rec.source[1]} fails "
+                    f"verify_record: {exc}"
+                ) from exc
     records.sort(key=cmp_to_key(_record_cmp))
     return SearchResult(
         records=records,

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fricke_orbits import _kernels, orbit_search
 from fricke_orbits.cli import (
     RunConfig,
     cmd_search,
@@ -149,6 +150,45 @@ def test_main_maps_input_errors_to_exit_2(tmp_path, capsys):
     assert main(["verify", "--golden", str(tmp_path / "nope.json")]) == 2
     assert "nope.json" in capsys.readouterr().err
     assert main(["graph", "1", "--out", str(tmp_path / "no" / "dir" / "g.dot")]) == 2
+
+
+def _first_blocks_only(monkeypatch):
+    # full_search over the first 2^17 seeds of each class, which hold 11 of
+    # the 45 orbits: a quarter of a second instead of a full scan
+    size = _kernels.class_size
+    monkeypatch.setattr(_kernels, "class_size", lambda cls, t: min(size(cls, t), 1 << 17))
+
+
+def _assert_internal_failure(capsys, argv):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert "internal failure" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["search", "verify"])
+def test_main_maps_a_rejected_orbit_to_exit_3(monkeypatch, capsys, command):
+    # verify_record raises ValueError; inside a search that is an internal
+    # inconsistency, not bad input
+    _first_blocks_only(monkeypatch)
+
+    def reject(rec):
+        raise ValueError("edge x at point 0 mismatches the table")
+
+    monkeypatch.setattr(orbit_search, "verify_record", reject)
+    _assert_internal_failure(capsys, [command, "--threads", "1"])
+
+
+def test_main_maps_an_irreproducible_float_closure_to_exit_3(monkeypatch, capsys):
+    _first_blocks_only(monkeypatch)
+    close = _kernels.close_float
+
+    def one_point_more(*args, **kwargs):
+        size, *rest = close(*args, **kwargs)
+        return (size + 1, *rest)
+
+    monkeypatch.setattr(_kernels, "close_float", one_point_more)
+    _assert_internal_failure(capsys, ["search", "--threads", "1"])
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from fricke_orbits import _kernels
 from fricke_orbits.fricke_action import (
     Omega,
+    all_equivalences,
     apply,
     fricke_residual,
     make_omega,
@@ -20,6 +21,7 @@ from fricke_orbits.orbit_search import (
     EPS,
     CapError,
     OrbitRecord,
+    _float_orbit_key,
     cayley_orbit,
     class_counter,
     classify_special,
@@ -526,6 +528,14 @@ def test_close_float_worked_example():
     (2, 0, 0),
     (3, 0, 0),
     (4, 0, 0),
+    # classes 2 and 4 solve per seed row (6,889 and 83 seeds): ranges that
+    # start and end inside a row, with survivors, and with a Cayley seed
+    # (13,730 and 509), one inside a single row
+    (2, 41, 800),
+    (2, 6_800, 14_000),
+    (2, 13_700, 13_760),
+    (4, 500, 540),
+    (4, 4_004_630, 4_004_700),
 ])
 def test_backend_parity(cls, start, stop):
     # the numpy scan, the production path, against the per-seed reference
@@ -574,6 +584,10 @@ def _per_seed_reference(cls, start, stop, eps=EPS):
     (3, 0, 40_000),
     (1, 1_700_000, 1_760_000),
     (3, 27_000_000, 27_100_000),
+    (2, 0, 30_000),
+    (2, 3_000_000, 3_030_000),
+    (4, 0, 41_000),
+    (4, 4_000_000, 4_040_000),
 ])
 def test_scan_matches_per_seed_reference_across_eps(cls, start, stop, eps):
     # the prefilter's tolerances scale with eps, and each check must stay
@@ -582,12 +596,14 @@ def test_scan_matches_per_seed_reference_across_eps(cls, start, stop, eps):
     assert out == _per_seed_reference(cls, start, stop, eps)
 
 
-@pytest.mark.parametrize("cls", [1, 3])
+@pytest.mark.parametrize("cls", [1, 2, 3])
 def test_numpy_scan_matches_per_seed_closure_on_heavy_blocks(cls, monkeypatch):
     # the first 2^17 seeds of classes 1 and 3 send the most candidates to
     # the closure (class 1: about 2,000, class 3: about 12,000), so class 3
     # fills several lockstep batches, and both reach the hand-off to the
-    # per-seed closure
+    # per-seed closure; class 2's first rows have Y = 0, where Zp = Z is a
+    # link for every X, so its solve stage keeps 63,022 of those seeds, two
+    # groups, and about 1,600 reach the closure
     rows, handed = [], []
     lockstep, pylist = _kernels._close_lockstep, _kernels._close_pylist
     monkeypatch.setattr(_kernels, "_close_lockstep",
@@ -598,28 +614,51 @@ def test_numpy_scan_matches_per_seed_closure_on_heavy_blocks(cls, monkeypatch):
     monkeypatch.undo()
     assert out == _per_seed_reference(cls, 0, 1 << 17)
     assert len(out[0]) > 100 and handed
-    assert sum(rows) > (2 * _kernels._LOCKSTEP_ROWS if cls == 3 else _kernels._LOCKSTEP_ROWS)
+    least = {1: 1, 2: 0.75, 3: 2}[cls] * _kernels._LOCKSTEP_ROWS
+    assert sum(rows) > least
 
 
 def _prefix_radix(cls):
     return len(KT.dicts[_kernels.LAYOUTS[cls].axes[-1][1]])
 
 
-@pytest.mark.parametrize("cls", [1, 3])
+def _solve_stage(cls, rows, t=KT, eps=EPS):
+    """The flat indices the solve stage of class 2 or 4 keeps of `rows`."""
+
+    join = _kernels._difference_join(t.s4)
+    if cls == 4:
+        return _kernels._solve4(rows, t, eps, join)
+    return np.concatenate(list(_kernels._solve2(rows, t, eps, _kernels._Lookup(t.s4), join)))
+
+
+@pytest.mark.parametrize("cls", [1, 2, 3, 4])
 def test_scan_does_not_depend_on_how_a_range_is_split(cls):
-    # scan_chunk expands the kept prefixes of a range in groups of
-    # _NUMPY_BLOCK // radix; cutting the range elsewhere regroups them and
-    # must give the same survivors, in order, and the same counters
-    start, stop = 0, 1 << 23
-    radix = _prefix_radix(cls)
-    step = _kernels._NUMPY_BLOCK // radix
-    pref = np.arange(start // radix, stop // radix)
-    kept = pref[_kernels._prefix_keep(cls, pref, radix, KT, EPS, _kernels._Lookup(KT.s1),
-                                      _kernels._Lookup(KT.s4))]
-    assert len(kept) > step  # the whole range expands in more than one group
-    # inside a prefix of the first group, and inside the first prefix of
-    # the second group
-    cuts = [start, int(kept[step // 2]) * radix + 7, int(kept[step]) * radix + radix // 2, stop]
+    # scan_chunk gathers what its first stage keeps of a range, prefixes in
+    # classes 1 and 3 and seeds in classes 2 and 4, and expands it in
+    # groups of _NUMPY_BLOCK seeds; cutting the range elsewhere regroups
+    # them and must give the same survivors, in order, and the same counters
+    start, stop = 0, min(1 << 23, _kernels.class_size(cls, KT))
+    if cls in _kernels._PREFIX:
+        radix = _prefix_radix(cls)
+        group = _kernels._NUMPY_BLOCK // radix
+        pref = np.arange(start // radix, stop // radix)
+        kept = pref[_kernels._prefix_keep(cls, pref, radix, KT, EPS, _kernels._Lookup(KT.s1),
+                                          _kernels._Lookup(KT.s4))]
+    else:
+        # a unit is a seed row: 6,889 seeds in class 2, 83 in class 4
+        radix = _kernels._row_size(cls, KT)
+        group = _kernels._NUMPY_BLOCK
+        kept = _solve_stage(cls, np.arange(start // radix, stop // radix)) // radix
+    if cls == 4:
+        # class 4 keeps 17,954 seeds of its 8.2M, less than one group: cut
+        # inside two rows that hold kept seeds
+        at = (len(kept) // 3, 2 * len(kept) // 3)
+    else:
+        # the whole range expands in more than one group: cut inside a unit
+        # of the first group, and inside the first unit of the second
+        assert len(kept) > group
+        at = (group // 2, group)
+    cuts = [start, int(kept[at[0]]) * radix + 7, int(kept[at[1]]) * radix + radix // 2, stop]
     parts = [_kernels.scan_chunk(cls, a, b, KT, EPS, "numpy") for a, b in zip(cuts, cuts[1:])]
     merged = (
         [i for p in parts for i in p[0]],
@@ -629,6 +668,243 @@ def test_scan_does_not_depend_on_how_a_range_is_split(cls):
     whole = _kernels.scan_chunk(cls, start, stop, KT, EPS, "numpy")
     assert whole[0] and whole[3]
     assert merged == whole
+
+
+def _admitted(cls, rows, t=KT, eps=EPS):
+    """The seeds of `rows` that pass the checks the solve stage solves, Zp
+    and bx in class 2, Zp and Yp in class 4, as _check evaluates them on
+    the decoded seeds, or are Cayley seeds: flat indices and the seed
+    columns."""
+
+    radix = _kernels._row_size(cls, t)
+    idx = (np.asarray(rows)[:, None] * radix + np.arange(radix)).ravel()
+    cols = _kernels._Cols(zip(_kernels._SEED, _kernels._decode_vec(cls, idx, t)))
+    look = _kernels._Lookup(t.s4)
+    ok = _kernels._check(cols, "Zp", look, eps)
+    ok &= _kernels._check(cols, "bx" if cls == 2 else "Yp", look, eps)
+    return idx[ok | _kernels._cayley(cols, eps)], cols
+
+
+@pytest.mark.parametrize("eps", [1e-10, EPS, 1e-5])
+@pytest.mark.parametrize("cls", [2, 4])
+def test_solve_stage_keeps_every_seed_its_checks_admit(cls, eps):
+    # sampled runs of rows, and the rows whose slopes vanish: class-2 rows
+    # with Y = 0 (Zp = Z, a link for every X) or Y = 1 (the wx fixed-point
+    # equation holds for every Yp), class-4 rows with X or Y = 1 (a
+    # fixed-point equation that does not read Xp)
+    nrows = len(KT.seeds[cls][0])
+    count = 40 if cls == 2 else 400
+    starts = list(np.random.default_rng(cls).integers(0, nrows - count, 4))
+    seed = dict(zip(_kernels.LAYOUTS[cls].seed, KT.seeds[cls]))
+    for name, value in ((("Y", 0.0), ("Y", 1.0)) if cls == 2 else (("X", 1.0), ("Y", 1.0))):
+        first = np.flatnonzero(np.abs(seed[name] - value) < 1e-12)[0]
+        starts.append(min(int(first), nrows - count))
+    total = 0
+    for a in starts:
+        rows = np.arange(a, a + count)
+        got = _solve_stage(cls, rows, eps=eps)
+        want, _ = _admitted(cls, rows, eps=eps)
+        assert np.all(np.diff(got) > 0)
+        radix = _kernels._row_size(cls, KT)
+        assert got[0] >= a * radix and got[-1] < (a + count) * radix
+        assert np.isin(want, got).all()
+        # and few more: the rounding margin and the Cayley windows, which
+        # test one weight of four, add about one seed per row
+        assert len(got) <= 1.05 * len(want) + count
+        total += len(want)
+    assert total > 100
+
+
+def _one_row_tables(cls, *values):
+    """ScanTables holding one constructed class-cls seed row."""
+
+    seeds = {cls: tuple(np.array([v], float) for v in values)}
+    return _kernels.ScanTables(KT.s1, KT.s4, seeds, 0)
+
+
+def _alternatives(cols, name, at):
+    """For image `name` of seed `at`: its distance to s4, its distance to
+    the link coordinate, and the larger fixed-point residual, each in
+    units of EPS."""
+
+    links, p1, p2, w1, w2 = _kernels._CHECKS[name]
+    v = cols[name][at]
+    value = np.min(np.abs(KT.s4 - v))
+    link = min(abs(v - cols[c][at]) for c in links)
+    fixed = max(abs(2.0 * cols[p1][at] + v * cols[p2][at] - cols[w1][at]),
+                abs(2.0 * cols[p2][at] + v * cols[p1][at] - cols[w2][at]))
+    return value / EPS, link / EPS, fixed / EPS
+
+
+def _assert_solved(cls, t, at):
+    """Seed `at` of the one-row tables t passes the joined checks, and the
+    solve stage keeps every seed the joined checks pass."""
+
+    want, cols = _admitted(cls, [0], t)
+    assert at in want
+    assert np.isin(want, _solve_stage(cls, np.arange(1), t)).all()
+    return cols
+
+
+def test_solve_stage_keeps_constructed_class4_seeds():
+    s4 = KT.s4
+    i, j = 30, 50
+    # Value near the 128*eps edge.  In a row (X, Y, Y), Zp = Yp =
+    # X + Xp + Y*Y - Y - X*Y; X puts it 127.9 eps above s4[j] at Xp = s4[i].
+    Y = 0.3
+    X = (s4[j] + 127.9 * EPS - s4[i] - Y * Y + Y) / (1.0 - Y)
+    cols = _assert_solved(4, _one_row_tables(4, X, Y, Y), i)
+    for name in ("Zp", "Yp"):
+        value, link, fixed = _alternatives(cols, name, i)
+        assert 127.8 < value <= 128 and link > 1024 and fixed > 1024
+    # Link near the 128*eps edge: the same, with Zp = Yp 127.9 eps above Y
+    m = 50
+    X = (2.0 * Y - Y * Y - s4[m] + 127.9 * EPS) / (1.0 - Y)
+    cols = _assert_solved(4, _one_row_tables(4, X, Y, Y), m)
+    for name in ("Zp", "Yp"):
+        value, link, fixed = _alternatives(cols, name, m)
+        assert value > 128 and 127.8 < link <= 128 and fixed > 1024
+    # Fixed point near the 1024*eps edge, with a slope that vanishes.  In a
+    # row (1, Y, Z) the fixed-point equation of Zp with wy, and of Yp with
+    # wz, reads Y = Z, whatever Xp; Y = Z = 1 - sqrt(2 - Xp) makes the
+    # other ones hold too, at Zp = Yp = 2.  Z = Y - d puts the larger
+    # residual, Yp's with wx, at 1015 eps.
+    Y = 1.0 - math.sqrt(2.0 - s4[i])
+    d = 1000 * EPS
+    for _ in range(3):
+        _, cols = _admitted(4, [0], _one_row_tables(4, 1.0, Y, Y - d))
+        d *= 1015 / max(_alternatives(cols, name, i)[2] for name in ("Zp", "Yp"))
+    cols = _assert_solved(4, _one_row_tables(4, 1.0, Y, Y - d), i)
+    for name in ("Zp", "Yp"):
+        value, link, fixed = _alternatives(cols, name, i)
+        assert value > 128 and link > 128 and fixed <= 1024
+    assert _alternatives(cols, "Yp", i)[2] > 1014
+    # Y and X next to 1, the rows the table holds (1.0000000000000002),
+    # and a few eps off: a slope of Zp's or Yp's fixed-point equations
+    # nearly vanishes
+    for one in (1.0 + 2.2e-16, 1.0 + 50 * EPS, 1.0 - 3 * EPS):
+        for X, Y, Z in ((s4[20], one, s4[60]), (one, s4[25], s4[70]), (one, one, s4[10])):
+            t = _one_row_tables(4, X, Y, Z)
+            want, _ = _admitted(4, [0], t)
+            assert np.isin(want, _solve_stage(4, np.arange(1), t)).all()
+
+
+def test_solve_stage_keeps_constructed_class2_seeds():
+    s4, n = KT.s4, len(KT.s4)
+    # In a row with Z = 1, bx = X + q + Z*(Y - Yp) is X exactly, a link, so
+    # the Zp check alone decides; Zp = Z + Y*q, q = Yp - Y, reads no X.
+    # Value near the 128*eps edge: Y puts Zp 127.9 eps above s4[j] at
+    # Yp = s4[i], and every X is kept.
+    i, j = 70, 48
+    target = s4[j] + 127.9 * EPS
+    Y = (s4[i] + math.sqrt(s4[i] * s4[i] - 4.0 * (target - 1.0))) / 2.0
+    for at in (3 * n + i, 77 * n + i):
+        cols = _assert_solved(2, _one_row_tables(2, Y, 1.0), at)
+        value, link, fixed = _alternatives(cols, "Zp", at)
+        assert 127.8 < value <= 128 and link > 128 and fixed > 1024
+    # Yp next to Y: with Z = 0.5 and Y = s4[i] + d, Zp lies Y*d/Z, 127.9
+    # eps, from Z, a link; bx lies Z*d, 62 eps, from Xp, a link too (its
+    # fixed-point residuals are O(d) as well), and d*(1/Z - Z), 185 eps,
+    # from X and from s4
+    i = 48
+    d = 127.9 * EPS * 0.5 / s4[i]
+    for at in (i, 40 * n + i):
+        cols = _assert_solved(2, _one_row_tables(2, s4[i] + d, 0.5), at)
+        value, link, fixed = _alternatives(cols, "Zp", at)
+        assert value > 128 and 127.8 < link <= 128
+        value, link, fixed = _alternatives(cols, "bx", at)
+        assert value > 128 and 61 < link < 63
+    # Fixed point near the 1024*eps edge: X*(Zp - Z) = Yp - Y holds at
+    # X = Z/Y.  X = 2cos(pi/5) and Yp = 2cos(2pi/5) have X*Yp = 1, so
+    # Y = Yp + d makes it hold up to X*d*d, while Zp*Y = q + Y*Z is off by
+    # (1 - Y*Y)*d, 1015 eps, and Zp lies about that far from Z and from 1.
+    k, m = 66, 49
+    d = 1015 * EPS / (1.0 - s4[m] * s4[m])
+    cols = _assert_solved(2, _one_row_tables(2, s4[m] + d, 1.0), k * n + m)
+    value, link, fixed = _alternatives(cols, "Zp", k * n + m)
+    assert value > 128 and link > 128 and 1014 < fixed <= 1024
+    # In a row with Y = 0, Zp = Z, a link, so bx alone decides: bx = X + c,
+    # c = Yp*(1/Z - Z); Z puts bx 127.9 eps above s4[j] at X = s4[i].
+    i, j, m = 20, 45, 60
+    target = s4[j] - s4[i] + 127.9 * EPS
+    Z = (math.sqrt(target * target + 4.0 * s4[m] * s4[m]) - target) / (2.0 * s4[m])
+    cols = _assert_solved(2, _one_row_tables(2, 0.0, Z), i * n + m)
+    value, link, fixed = _alternatives(cols, "bx", i * n + m)
+    assert 127.8 < value <= 128 and link > 128 and fixed > 1024
+
+
+def test_solve_stage_rounding_stays_below_its_margin():
+    # The solve stage rewrites each image as an axis value plus a constant
+    # of the row; on sampled rows the rewritten image, the fixed-point
+    # residuals and the weights differ from what _check and _cayley compute
+    # on the decoded seeds by far less than _SOLVE_ROUND.
+    s4, n = KT.s4, len(KT.s4)
+    worst = 0.0
+    rows = np.random.default_rng(41).integers(0, len(KT.seeds[4][0]), 3000)
+    X, Y, Z = (np.repeat(c[rows], n) for c in KT.seeds[4])
+    cols = _kernels._Cols(zip(_kernels._SEED, _kernels._decode_vec(
+        4, (rows[:, None] * n + np.arange(n)).ravel(), KT)))
+    Xp = np.tile(s4, len(rows))
+    base = X + Y * Z
+    row = {"X": X, "Y": Y, "Z": Z}
+    worst = max(worst, np.abs(cols["wx"] - (Xp + base)).max())
+    for name in ("Zp", "Yp"):
+        _, coord, a, b = _kernels._IMAGES[name]
+        _, p1, p2, w1, w2 = _kernels._CHECKS[name]
+        c = base - row[coord] - row[a] * row[b]
+        v = cols[name]
+        worst = max(worst, np.abs(v - (Xp + c)).max())
+        for q1, q2, w in ((p1, p2, w1), (p2, p1, w2)):
+            e = 2.0 * cols[q1] + v * cols[q2] - cols[w]
+            affine = (row[q2] - 1.0) * Xp + (2.0 * row[q1] + c * row[q2] - base)
+            worst = max(worst, np.abs(e - affine).max())
+    rows = np.random.default_rng(42).integers(0, len(KT.seeds[2][0]), 30)
+    Y, Z = (np.repeat(c[rows], n * n) for c in KT.seeds[2])
+    cols = _kernels._Cols(zip(_kernels._SEED, _kernels._decode_vec(
+        2, (rows[:, None] * n * n + np.arange(n * n)).ravel(), KT)))
+    X, Yp = np.tile(np.repeat(s4, n), len(rows)), np.tile(s4, n * len(rows))
+    q = (Yp - Y) / Z
+    zp = Z + Y * q
+    c = q + Z * (Y - Yp)
+    v, b = cols["Zp"], cols["bx"]
+    worst = max(
+        worst,
+        np.abs(v - zp).max(),
+        np.abs(2.0 * X + v * Y - cols["wx"] - (zp * Y - q - Y * Z)).max(),
+        np.abs(2.0 * Y + v * X - cols["wy"] - ((zp - Z) * X + (Y - Yp))).max(),
+        np.abs(b - (X + c)).max(),
+        np.abs(2.0 * Yp + b * Z - cols["wy"] - ((Yp - Y) + c * Z)).max(),
+        np.abs(2.0 * Z + b * Yp - cols["wz"] - (X * (Yp - Y) + (c * Yp - q * Y))).max(),
+        np.abs(cols["wy"] - (Z * X + (Y + Yp))).max(),
+    )
+    assert 0 < worst < _kernels._SOLVE_ROUND / 20
+
+
+@pytest.mark.parametrize("cls,start,stop", [
+    (1, 0, 1 << 21),
+    (2, 0, 1 << 20),
+    (3, 0, 1 << 21),
+    (4, 0, 1 << 21),
+])
+def test_no_scan_stage_holds_more_than_a_block(cls, start, stop, monkeypatch):
+    # a stage holds at most _NUMPY_BLOCK seeds, in ranges that need several
+    # stages: every decode inside the scan gets at most that many indices,
+    # a solve stage solves at most that many (row, last-axis value) pairs,
+    # and marks at most that many seeds at once
+    decoded, pairs, marked = [], [], []
+    decode_vec, window_mask = _kernels._decode_vec, _kernels._window_mask
+    monkeypatch.setattr(_kernels, "_decode_vec",
+                        lambda c, idx, t: decoded.append(np.size(idx)) or decode_vec(c, idx, t))
+    monkeypatch.setattr(_kernels, "_window_mask",
+                        lambda *a: (lambda m: marked.append(m.size) or m)(window_mask(*a)))
+    for name in ("_solve2", "_solve4"):
+        solve = getattr(_kernels, name)
+        monkeypatch.setattr(_kernels, name, lambda rows, *a, solve=solve: pairs.append(
+            len(rows) * len(KT.s4)) or solve(rows, *a))
+    _kernels.scan_chunk(cls, start, stop, KT, EPS, "numpy")
+    assert decoded and max(decoded) <= _kernels._NUMPY_BLOCK
+    assert bool(pairs) == (len(marked) > 1) == (cls in (2, 4))
+    assert max(pairs + marked, default=0) <= _kernels._NUMPY_BLOCK
 
 
 def test_weight_ranges_of_the_float_error_bound():
@@ -893,6 +1169,64 @@ def test_float_rejections_match_exact_closure():
         rec = close_orbit(g.point, g.omega)
         assert rec is None
         checked += 1
+
+
+# ---------------------------------------------------------------------------
+# float dedup key
+
+
+def _float_orbit_key_loop(pc, ws, w4):
+    """_float_orbit_key as it was written before its single sort: one
+    stack and one lexsort per symmetry, the least key tuple kept."""
+
+    grid = np.rint(pc * 1e6).astype(np.int64)
+    wsi = [int(round(v * 1e6)) for v in ws]
+    w4i = int(round(w4 * 1e6))
+    best = None
+    for perm, signs in all_equivalences():
+        tw = (wsi[perm[0]] * signs[0], wsi[perm[1]] * signs[1], wsi[perm[2]] * signs[2])
+        arr = np.stack([grid[perm[i]] * signs[i] for i in range(3)])
+        order = np.lexsort((arr[2], arr[1], arr[0]))
+        key = (w4i,) + tw + tuple(arr[:, order].T.reshape(-1).tolist())
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def _float_orbits(golden_orbits):
+    """(pc, ws, w4) of the 45 reference orbits, then of random clouds whose
+    coordinates repeat and tie in sign, with and without noise below the
+    1e-6 grid."""
+
+    out = []
+    for points, w in golden_orbits:
+        pc = np.array([[c.float_value() for c in p] for p in points]).T
+        out.append((pc, tuple(v.float_value() for v in w[:3]), w.w4.float_value()))
+    rng = np.random.default_rng(11)
+    for k in range(120):
+        n = int(rng.integers(1, 60))
+        pc = rng.choice([-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5], size=(3, n))
+        if k % 2:
+            pc = pc + rng.uniform(-3e-7, 3e-7, size=(3, n))
+        ws = tuple(rng.choice([-1.0, 0.0, 1.0, 2.5], size=3))
+        out.append((pc, ws, float(rng.uniform(-20.0, 20.0))))
+    return out
+
+
+def test_float_orbit_key_matches_the_per_symmetry_loop(golden_orbits):
+    for pc, ws, w4 in _float_orbits(golden_orbits):
+        key = _float_orbit_key(pc, ws, w4)
+        assert key == _float_orbit_key_loop(pc, ws, w4)
+        assert all(type(v) is int for v in key)
+
+
+def test_float_orbit_key_is_invariant_under_the_24_symmetries(golden_orbits):
+    for pc, ws, w4 in _float_orbits(golden_orbits)[::7]:
+        key = _float_orbit_key(pc, ws, w4)
+        for perm, signs in all_equivalences():
+            image = pc[list(perm)] * np.array(signs, float)[:, None]
+            tw = tuple(ws[perm[i]] * signs[i] for i in range(3))
+            assert _float_orbit_key(image, tw, w4) == key
 
 
 # ---------------------------------------------------------------------------
