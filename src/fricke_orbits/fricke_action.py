@@ -115,9 +115,9 @@ class PointSet:
     """Set of exact points with near-constant membership tests.
 
     Points are bucketed by a quantized float key; the +-1 neighbor buckets are
-    probed too, so equal values with different term representations (whose
-    floats differ in the last bits) still collide, and every candidate match
-    is confirmed exactly.
+    probed too, so equal values with different terms still collide.  A match
+    is confirmed exactly, by terms alone where close_orbit stored both as one
+    dictionary entry.
     """
 
     _SCALE = float(1 << 20)

@@ -349,8 +349,12 @@ def close_orbit(
     accepted only when its changed coordinate lies in the largest value
     dictionary or the point is doubly fixed, and identically vanishing
     parameters are rejected up front since they belong to the Cayley
-    family (see cayley_orbit).  Without it any new point is accepted and
-    the caller guarantees finiteness; the cap still guards divergence.
+    family (see cayley_orbit).  Each image's new coordinate is tested
+    against s4 exactly before the lookup; a confirmed one is replaced by
+    the entry's own CosSum, so later products, comparisons and keys see
+    single-term values.  Without it any new point is accepted and the
+    caller guarantees finiteness.  As in the float closure, the cap is
+    tested only when a point is added.
     """
 
     ws = (omega.wx, omega.wy, omega.wz)
@@ -370,6 +374,14 @@ def close_orbit(
             if nbr[c][i] >= 0:
                 continue
             q = apply(g, p, omega)
+            v = q[c]
+            good = True
+            if restrict_to_dictionary:
+                k = match_dictionary(v.float_value(), s4f, EPS)
+                good = k is not None and (v - s4vals[k].value).is_zero()
+                if good:
+                    v = s4vals[k].value
+                    q = q[:c] + (v,) + q[c + 1:]
             j = ps.find(q)
             if j is not None:
                 if nbr[c][j] != -1:
@@ -377,34 +389,23 @@ def close_orbit(
                 nbr[c][i] = j
                 nbr[c][j] = i
                 continue
-            if len(ps.points) >= cap:
-                raise CapError(f"closure exceeded {cap} points from source {source}")
-            v = q[c]
-            accept_good = True
-            if restrict_to_dictionary:
-                k = match_dictionary(v.float_value(), s4f, EPS)
-                accept_good = k is not None and (v - s4vals[k].value).is_zero()
-            if accept_good:
-                idx = ps.add(q)
-                for cc in range(3):
-                    nbr[cc].append(-1)
-                nbr[c][idx] = i
-                nbr[c][i] = idx
-            else:
-                o1 = 1 if c == 0 else 0
-                o2 = 1 if c == 2 else 2
+            o1 = 1 if c == 0 else 0
+            o2 = 1 if c == 2 else 2
+            if not good:
                 r1 = q[o1] * 2 + v * q[o2] - ws[o1]
                 r2 = q[o2] * 2 + v * q[o1] - ws[o2]
-                if r1.is_zero() and r2.is_zero():
-                    idx = ps.add(q)
-                    for cc in range(3):
-                        nbr[cc].append(-1)
-                    nbr[c][idx] = i
-                    nbr[c][i] = idx
-                    nbr[o1][idx] = idx
-                    nbr[o2][idx] = idx
-                else:
+                if not (r1.is_zero() and r2.is_zero()):
                     return None
+            if len(ps.points) >= cap:
+                raise CapError(f"closure exceeded {cap} points from source {source}")
+            idx = ps.add(q)
+            for cc in range(3):
+                nbr[cc].append(-1)
+            nbr[c][idx] = i
+            nbr[c][i] = idx
+            if not good:
+                nbr[o1][idx] = idx
+                nbr[o2][idx] = idx
         i += 1
     return OrbitRecord(
         tuple(ps.points), tuple(tuple(col) for col in nbr), omega, source
@@ -419,6 +420,11 @@ def verify_record(rec: OrbitRecord) -> bool:
     residual as a quadratic in x, so R(s_x p) = R(p) identically (and so
     for y and z); every edge is then confirmed exactly, which carries the
     residual across its component.
+
+    Each edge is confirmed once, from its lower end (j >= i, so self-loops
+    too): apply is an involution as a polynomial identity, wx - (wx - x -
+    yz) - yz = x, and _tame does not change a value, so apply(g, p_i) =
+    p_j implies apply(g, p_j) = p_i.
     """
 
     n = rec.size
@@ -444,8 +450,8 @@ def verify_record(rec: OrbitRecord) -> bool:
                         reached[col[k]] = True
                         todo.append(col[k])
         for c, g in enumerate("xyz"):
-            q = apply(g, p, rec.omega)
-            if not points_equal(q, rec.points[rec.neighbors[c][i]]):
+            j = rec.neighbors[c][i]
+            if j >= i and not points_equal(apply(g, p, rec.omega), rec.points[j]):
                 raise ValueError(f"edge {g} at point {i} mismatches the table")
     return True
 

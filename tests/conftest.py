@@ -12,13 +12,18 @@ def search_result():
 
 
 @pytest.fixture(scope="session")
-def golden_orbits():
-    """The 45 reference orbits as (points, omega), each closed exactly from
-    its row's representative point."""
+def golden_records():
+    """The 45 reference orbits, each closed exactly from its row's
+    representative point."""
     out = []
     for row in GOLDEN_ROWS:
-        w = Omega(*row.omega, row.omega4)
-        rec = close_orbit(row.rep_point, w)
+        rec = close_orbit(row.rep_point, Omega(*row.omega, row.omega4))
         assert rec.size == row.size, row.idx
-        out.append((rec.points, w))
+        out.append(rec)
     return out
+
+
+@pytest.fixture(scope="session")
+def golden_orbits(golden_records):
+    """The 45 reference orbits as (points, omega)."""
+    return [(rec.points, rec.omega) for rec in golden_records]

@@ -12,6 +12,7 @@ from fricke_orbits.fricke_action import (
     all_equivalences,
     apply,
     fricke_residual,
+    keys_equal,
     make_omega,
     make_point,
     omega4_of,
@@ -34,7 +35,8 @@ from fricke_orbits.orbit_search import (
     golden_match,
     verify_record,
 )
-from fricke_orbits.trig_field import cos_value, from_rational
+from fricke_orbits.golden import GOLDEN_ROWS
+from fricke_orbits.trig_field import cos_value, from_rational, match_dictionary
 
 D = get_dictionaries()
 T = get_search_tables()
@@ -359,6 +361,61 @@ def test_close_orbit_cap():
         close_orbit(make_point(-1, 1, 1), W5, cap=3)
 
 
+def test_close_orbit_rejects_before_the_cap(monkeypatch):
+    # the first image, x = 1/3, is rejected; the cap is tested only when a
+    # point is added, so a one-point cap does not decide first, exactly as
+    # in the float closure
+    w = make_omega(Fraction(1, 3), 1, 1, 2)
+    assert close_orbit(make_point(-1, 1, 1), w, cap=1) is None
+    monkeypatch.setattr(_kernels, "CAP", 1)
+    res, _, _ = _kernels._close_pylist(-1.0, 1.0, 1.0, 1 / 3, 1.0, 1.0, KT.s4.tolist(), EPS)
+    assert res == 0
+
+
+def _is_snapped(rec, s4_floats):
+    """Every coordinate of a point that is neither the seed nor a bad point
+    is the s4 entry's own object, or the seed's object it inherits."""
+    bad = set(rec.bad_indices())
+    seed = rec.points[0]
+    for i, p in enumerate(rec.points[1:], 1):
+        if i in bad:
+            continue
+        for c, v in enumerate(p):
+            k = match_dictionary(v.float_value(), s4_floats, EPS)
+            if not (v is seed[c] or (k is not None and v is D.s4[k].value)):
+                return False
+    return True
+
+
+def test_close_orbit_stores_dictionary_entries(golden_records):
+    s4f = D.floats("s4")
+    entries = {id(e.value) for e in D.s4}
+    snapped = 0
+    for rec in golden_records:
+        assert _is_snapped(rec, s4f)
+        snapped += sum(id(v) in entries for p in rec.points[1:] for v in p)
+    assert snapped > 1000
+    # the closure without the dictionary keeps its computed values
+    rec = cayley_orbit(Fraction(1, 5), Fraction(2, 5))
+    assert not any(id(v) in entries for p in rec.points for v in p)
+
+
+def test_close_orbit_from_redundant_terms():
+    # 2cos(pi/5) - 2cos(2pi/5) - 1 = 0, written with two cosine terms
+    zero = cos_value(1, 5) - cos_value(2, 5) - 1
+    assert zero.terms and zero.is_zero()
+    cases = [(make_point(-1, 1, 1), W5)]
+    cases += [(row.rep_point, Omega(*row.omega, row.omega4)) for row in GOLDEN_ROWS[::6]]
+    for point, w in cases:
+        plain = close_orbit(point, w)
+        seed = tuple(v + zero for v in point)
+        assert all(a.terms != b.terms for a, b in zip(seed, point))
+        rec = close_orbit(seed, w)
+        assert rec.size == plain.size
+        assert keys_equal(rec.canonical, plain.canonical)
+        verify_record(rec)
+
+
 def test_verify_record_catches_tampering():
     rec = close_orbit(make_point(-1, 1, 1), W5)
     broken = type(rec)(
@@ -367,6 +424,59 @@ def test_verify_record_catches_tampering():
     )
     with pytest.raises(ValueError):
         verify_record(broken)
+
+
+def _with_points(rec, changes):
+    pts = list(rec.points)
+    for i, p in changes.items():
+        pts[i] = p
+    return OrbitRecord(tuple(pts), rec.neighbors, rec.omega, rec.source)
+
+
+def _corruptions(rec):
+    """Records that keep the neighbour table an involution and keep point 0
+    on the surface, each with at least one wrong edge."""
+    n = rec.size
+    pts = rec.points
+    # point 0 is the lower end of every edge at it; another orbit point
+    # there keeps the residual zero
+    yield "lower end", _with_points(rec, {0: pts[1]})
+    # the last point is the higher end of every edge at it but its loops
+    yield "higher end", _with_points(rec, {n - 1: pts[0]})
+    k = n // 2
+    x = pts[k][0]
+    other = next(e.value for e in D.s4 if abs(e.fval - x.float_value()) > 0.1)
+    yield "dictionary value", _with_points(rec, {k: (other, pts[k][1], pts[k][2])})
+    yield "points swapped", _with_points(rec, {1: pts[n - 1], n - 1: pts[1]})
+    # an edge of two points turned into a self-loop at each
+    c = next(c for c in range(3) if rec.neighbors[c][k] != k)
+    j = rec.neighbors[c][k]
+    col = list(rec.neighbors[c])
+    col[k], col[j] = k, j
+    nbrs = list(rec.neighbors)
+    nbrs[c] = tuple(col)
+    yield "self-loops", OrbitRecord(rec.points, tuple(nbrs), rec.omega, rec.source)
+
+
+@pytest.mark.parametrize("which", ["W5", "row30"])
+def test_verify_record_rejects_wrong_edges(which):
+    if which == "W5":
+        rec = close_orbit(make_point(-1, 1, 1), W5)
+    else:
+        # no self-loops: its point 0 only has higher neighbours and its
+        # last point only lower ones, so each end is checked alone
+        row = GOLDEN_ROWS[29]
+        rec = close_orbit(row.rep_point, Omega(*row.omega, row.omega4))
+        for col in rec.neighbors:
+            assert all(col[i] != i for i in range(rec.size))
+            assert col[0] > 0 and col[-1] < rec.size - 1
+    assert verify_record(rec)
+    for _, broken in _corruptions(rec):
+        for col in broken.neighbors:
+            assert all(col[col[i]] == i for i in range(broken.size))
+        assert fricke_residual(broken.points[0], broken.omega).is_zero()
+        with pytest.raises(ValueError, match="mismatches the table"):
+            verify_record(broken)
 
 
 def test_verify_record_checks_every_component():

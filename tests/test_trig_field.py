@@ -702,9 +702,11 @@ def test_compare_around_tie_band(monkeypatch):
     assert compare(bases[3], from_rational(1)) == 0
 
 
-def test_compare_float_difference_matches_float_of_difference(golden_orbits, monkeypatch):
+def test_compare_float_difference_matches_float_of_difference(golden_records, monkeypatch):
     """The premise of compare's fast path, on every pair canonical_key
-    compares over the 45 reference orbits: the difference of the cached
+    compares over the 45 reference orbits, and on each edge's computed
+    image coordinate against the stored neighbour coordinate, the pair
+    points_equal sees in verify_record: the difference of the cached
     floats is within 1e-12 of the float of a - b, so wherever the float of
     a - b lies outside the tie band, compare returns its sign."""
     pairs = []
@@ -714,9 +716,14 @@ def test_compare_float_difference_matches_float_of_difference(golden_orbits, mon
         return compare(a, b)
 
     monkeypatch.setattr(fricke_action, "compare", recording)
-    for points, w in golden_orbits:
-        fricke_action.canonical_key(points, w)
+    for rec in golden_records:
+        fricke_action.canonical_key(rec.points, rec.omega)
     assert len(pairs) > 1000
+    for rec in golden_records:
+        for i, p in enumerate(rec.points):
+            for c, g in enumerate("xyz"):
+                q = rec.points[rec.neighbors[c][i]]
+                pairs.append((fricke_action.apply(g, p, rec.omega)[c], q[c]))
     for a, b in pairs:
         fd = (a - b).float_value()
         assert abs((a.float_value() - b.float_value()) - fd) <= 1e-12
