@@ -440,14 +440,15 @@ def _corruptions(rec):
     pts = rec.points
     # point 0 is the lower end of every edge at it; another orbit point
     # there keeps the residual zero
-    yield "lower end", _with_points(rec, {0: pts[1]})
+    yield _with_points(rec, {0: pts[1]})
     # the last point is the higher end of every edge at it but its loops
-    yield "higher end", _with_points(rec, {n - 1: pts[0]})
+    yield _with_points(rec, {n - 1: pts[0]})
     k = n // 2
     x = pts[k][0]
     other = next(e.value for e in D.s4 if abs(e.fval - x.float_value()) > 0.1)
-    yield "dictionary value", _with_points(rec, {k: (other, pts[k][1], pts[k][2])})
-    yield "points swapped", _with_points(rec, {1: pts[n - 1], n - 1: pts[1]})
+    # one coordinate swapped for another dictionary value; two points swapped
+    yield _with_points(rec, {k: (other, pts[k][1], pts[k][2])})
+    yield _with_points(rec, {1: pts[n - 1], n - 1: pts[1]})
     # an edge of two points turned into a self-loop at each
     c = next(c for c in range(3) if rec.neighbors[c][k] != k)
     j = rec.neighbors[c][k]
@@ -455,7 +456,7 @@ def _corruptions(rec):
     col[k], col[j] = k, j
     nbrs = list(rec.neighbors)
     nbrs[c] = tuple(col)
-    yield "self-loops", OrbitRecord(rec.points, tuple(nbrs), rec.omega, rec.source)
+    yield OrbitRecord(rec.points, tuple(nbrs), rec.omega, rec.source)
 
 
 @pytest.mark.parametrize("which", ["W5", "row30"])
@@ -471,7 +472,7 @@ def test_verify_record_rejects_wrong_edges(which):
             assert all(col[i] != i for i in range(rec.size))
             assert col[0] > 0 and col[-1] < rec.size - 1
     assert verify_record(rec)
-    for _, broken in _corruptions(rec):
+    for broken in _corruptions(rec):
         for col in broken.neighbors:
             assert all(col[col[i]] == i for i in range(broken.size))
         assert fricke_residual(broken.points[0], broken.omega).is_zero()
