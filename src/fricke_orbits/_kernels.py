@@ -151,6 +151,8 @@ from typing import Callable, Dict, NamedTuple, Tuple
 
 import numpy as np
 
+from .fricke_action import omega4_of
+
 __all__ = [
     "CAP",
     "CHUNK",
@@ -207,10 +209,6 @@ class ScanTables(NamedTuple):
     @property
     def dicts(self) -> Dict[str, np.ndarray]:
         return {"s1": self.s1, "s4": self.s4}
-
-
-def _omega4(X, Y, Z, wx, wy, wz):
-    return 4.0 + wx * X + wy * Y + wz * Z - (X * Y * Z + X * X + Y * Y + Z * Z)
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +553,7 @@ def _cayley(cols: _Cols, eps: float):
         cay[sel] = (
             (np.abs(wy) <= eps)
             & (np.abs(wz) <= eps)
-            & (np.abs(_omega4(X, Y, Z, wx, wy, wz)) <= eps)
+            & (np.abs(omega4_of((X, Y, Z), wx, wy, wz)) <= eps)
         )
     return cay
 
@@ -759,8 +757,8 @@ def _decode_vec(cls: int, idx, t: ScanTables):
 def decode_float(cls: int, idx: int, t: ScanTables) -> Tuple[float, ...]:
     """Seed (X, Y, Z, wx, wy, wz, w4) of one flat configuration index."""
 
-    seed = [float(v) for v in _decode_vec(cls, idx, t)]
-    return (*seed, _omega4(*seed))
+    X, Y, Z, wx, wy, wz = (float(v) for v in _decode_vec(cls, idx, t))
+    return X, Y, Z, wx, wy, wz, omega4_of((X, Y, Z), wx, wy, wz)
 
 
 # Most seeds a scan stage holds.  On a 2-CPU Xeon VM, 1 << 16 took the

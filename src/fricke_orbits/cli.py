@@ -11,9 +11,9 @@ Output rules: everything written to stdout (or --out) depends only on
 the inputs, never on thread count or timing, so repeated runs are byte
 identical; diagnostics and timing go to stderr.  JSON values that are not
 rational are emitted as canonical cosine-ring strings together with a
-float convenience field.  Exit codes: 0 success, 2 verification
-mismatch (also argparse usage errors), 3 internal cap or consistency
-failure.
+float convenience field.  Exit codes: 0 success, 2 bad input or
+verification mismatch (also argparse usage errors), 3 internal cap or
+consistency failure; never a traceback.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .orbit_search import (
     close_orbit,
     full_search,
     get_search_tables,
-    golden_relation,
+    golden_assignment,
 )
 from .parameter_maps import (
     BT_NAMES,
@@ -77,7 +77,6 @@ def value_obj(v: CosSum) -> Dict[str, object]:
 class RunConfig:
     threads: Optional[int] = None
     eps: float = 1e-8
-    exact_verify: bool = True
     fmt: str = "text"
     out: Optional[str] = None
 
@@ -94,13 +93,15 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _run_search(cfg: RunConfig, result: Optional[SearchResult]) -> SearchResult:
-    if result is not None:
-        return result
-    return full_search(
-        threads=cfg.threads,
-        eps=cfg.eps,
-        exact_verify=cfg.exact_verify,
-    )
+    """The search result (run now unless given); ConsistencyError when the
+    scan hit a cap or a candidate failed to close."""
+
+    if result is None:
+        result = full_search(threads=cfg.threads, eps=cfg.eps)
+    if result.cap_hits or result.junk:
+        raise ConsistencyError(
+            f"search hit a cap or junk: capHits={result.cap_hits} junk={result.junk}")
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +132,12 @@ def _orbit_fields(rec: OrbitRecord) -> Dict[str, object]:
     }
 
 
-def render_search(result: SearchResult, fmt: str = "text", verified: bool = True) -> str:
-    """Deterministic orbit table plus counters; no timing, no thread count."""
+def render_search(result: SearchResult, fmt: str = "text") -> str:
+    """Deterministic orbit table plus counters; no timing, no thread count.
+
+    Every orbit full_search reports has passed verify_record, so the table
+    always reads verified.
+    """
 
     if fmt == "json":
         payload = {
@@ -140,7 +145,7 @@ def render_search(result: SearchResult, fmt: str = "text", verified: bool = True
                 "backend": result.backend,
                 "eps": result.eps,
                 "orbits": len(result.records),
-                "verified": verified,
+                "verified": True,
             },
             "counters": dict(_counter_items(result)),
             "orbits": [
@@ -160,14 +165,13 @@ def render_search(result: SearchResult, fmt: str = "text", verified: bool = True
                 f"{cossum_to_str(w.wz)},{cossum_to_str(four)},{rep[0]},{rep[1]},{rep[2]}"
             )
         lines += [f"#{k},{v}" for k, v in _counter_items(result)]
-        lines.append(f"#verified,{'yes' if verified else 'no'}")
+        lines.append("#verified,yes")
         return "\n".join(lines) + "\n"
     if fmt != "text":
         raise ValueError(f"unsupported search format {fmt!r}")
     lines = [
         f"# exceptional finite orbits: {len(result.records)}",
-        f"# backend={result.backend} eps={result.eps:g} "
-        f"verified={'yes' if verified else 'no'}",
+        f"# backend={result.backend} eps={result.eps:g} verified=yes",
         "# " + " ".join(f"{k}={v}" for k, v in _counter_items(result)),
     ]
     for i, rec in enumerate(result.records):
@@ -185,13 +189,7 @@ def render_search(result: SearchResult, fmt: str = "text", verified: bool = True
 def cmd_search(cfg: RunConfig, result: Optional[SearchResult] = None) -> int:
     cfg.validate()
     result = _run_search(cfg, result)
-    if result.cap_hits or result.junk:
-        print(
-            f"consistency failure: capHits={result.cap_hits} junk={result.junk}",
-            file=sys.stderr,
-        )
-        return 3
-    _emit(render_search(result, cfg.fmt, verified=cfg.exact_verify), cfg.out)
+    _emit(render_search(result, cfg.fmt), cfg.out)
     print(
         f"search: {len(result.records)} orbits, {result.elapsed:.1f}s, "
         f"threads={result.threads}, backend={result.backend}",
@@ -223,51 +221,54 @@ def golden_to_json() -> str:
 
 
 def load_golden(path: str) -> List[GoldenRow]:
+    """The rows of a golden JSON file, in the format golden_to_json writes.
+
+    Malformed content raises ValueError naming the file, and the row and
+    field at fault.
+    """
+
+    def field(r, key, parse, n=None):
+        # parse(r[key]), or a tuple of parse over r[key], a list of n
+        v = r[key]
+        try:
+            if n is None:
+                return parse(v)
+            if not isinstance(v, list) or len(v) != n:
+                raise ValueError(f"not a list of {n}")
+            return tuple(parse(x) for x in v)
+        except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"field {key!r}: {exc}") from exc
+
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"golden file {path}: {exc}") from exc
+    if not isinstance(data, dict) or not isinstance(data.get("rows"), list):
+        raise ValueError(f'golden file {path}: expected an object with a "rows" list')
     rows = []
-    for r in data["rows"]:
-        theta = tuple(Fraction(q) for q in r["theta"]) if "theta" in r else None
-        rows.append(
-            GoldenRow(
-                idx=int(r["index"]),
-                size=int(r["size"]),
-                omega=tuple(cossum_from_str(s) for s in r["omega"]),
-                four_minus_omega4=cossum_from_str(r["fourMinusOmega4"]),
-                rep_angles=tuple(Fraction(a) for a in r["repAngles"]),
-                theta=theta,
-            )
-        )
+    for pos, r in enumerate(data["rows"], 1):
+        try:
+            rows.append(GoldenRow(
+                idx=field(r, "index", int),
+                size=field(r, "size", int),
+                omega=field(r, "omega", cossum_from_str, 3),
+                four_minus_omega4=field(r, "fourMinusOmega4", cossum_from_str),
+                rep_angles=field(r, "repAngles", Fraction, 3),
+                theta=field(r, "theta", Fraction, 4) if "theta" in r else None,
+            ))
+        except KeyError as exc:
+            raise ValueError(f"golden file {path}: row {pos} lacks field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"golden file {path}: row {pos}: {exc}") from exc
     return rows
 
 
 def verify_records(records: Sequence[OrbitRecord], rows: Sequence[GoldenRow]):
-    """Equivalence-aware bijection check; returns (assignment, diff lines).
+    """Equivalence-aware bijection check; returns (assignment, diff lines),
+    orbit_search.golden_assignment of every row."""
 
-    Each failing row yields one diff line.  Unmatched computed orbits
-    are only reported when every row matched, otherwise they restate
-    the row failures.
-    """
-
-    diffs: List[str] = []
-    used: Dict[int, int] = {}
-    relation = golden_relation(records, rows)
-    for j, row in enumerate(rows):
-        matches = [i for i, hits in enumerate(relation) if j in hits]
-        free = [i for i in matches if i not in used]
-        if len(matches) == 1 and free:
-            used[free[0]] = row.idx
-        elif not matches:
-            diffs.append(f"row {row.idx}: no computed orbit matches")
-        else:
-            diffs.append(f"row {row.idx}: ambiguous matches {matches}")
-    if not diffs:
-        for i in range(len(records)):
-            if i not in used:
-                diffs.append(
-                    f"computed orbit {i + 1} (size {records[i].size}) matches no row"
-                )
-    return used, diffs
+    return golden_assignment(records, rows)
 
 
 def cmd_verify(
@@ -278,12 +279,6 @@ def cmd_verify(
     cfg.validate()
     rows = load_golden(golden_path) if golden_path else list(GOLDEN_ROWS)
     result = _run_search(cfg, result)
-    if result.cap_hits or result.junk:
-        print(
-            f"consistency failure: capHits={result.cap_hits} junk={result.junk}",
-            file=sys.stderr,
-        )
-        return 3
     _, diffs = verify_records(result.records, rows)
     if diffs:
         _emit("".join(d + "\n" for d in diffs), cfg.out)
@@ -348,11 +343,11 @@ def cmd_cosine(cfg: RunConfig, n: int, dens: Optional[int], max_den: Optional[in
     return 0
 
 
-def cmd_cayley(cfg: RunConfig, ry: str, rz: str) -> int:
-    rec = cayley_orbit(Fraction(ry), Fraction(rz))
+def cmd_cayley(cfg: RunConfig, ry: Fraction, rz: Fraction) -> int:
+    rec = cayley_orbit(ry, rz)
     payload = {
-        "ry": str(Fraction(ry)),
-        "rz": str(Fraction(rz)),
+        "ry": str(ry),
+        "rz": str(rz),
         "size": rec.size,
         "points": [[value_obj(c) for c in p] for p in rec.points],
     }
@@ -399,11 +394,10 @@ def cmd_theta(cfg: RunConfig, orbit_id: int, max_den: int) -> int:
     return 0
 
 
-def cmd_bt(cfg: RunConfig, name: str, theta_str: str) -> int:
-    parts = [Fraction(p) for p in theta_str.split(",")]
-    if len(parts) != 4:
+def cmd_bt(cfg: RunConfig, name: str, theta: Sequence[Fraction]) -> int:
+    if len(theta) != 4:
         raise ValueError("theta must be four comma-separated rationals")
-    t = make_theta(*parts)
+    t = make_theta(*theta)
     u = apply_bt(name, t)
     w = omega_from_theta(t)
     payload = {
@@ -444,6 +438,19 @@ def cmd_bench(cfg: RunConfig, span: int) -> int:
 # argument parsing
 
 
+def _rational(text: str) -> Fraction:
+    """argparse type of a rational such as 1/3; anything else, a zero
+    denominator included, is a usage error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+
+
+def _rationals(text: str) -> List[Fraction]:
+    return [_rational(part) for part in text.split(",")]
+
+
 def build_parser() -> argparse.ArgumentParser:
     """One parser per subcommand, each with only the common flags it reads."""
     out = argparse.ArgumentParser(add_help=False)
@@ -454,8 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     run = argparse.ArgumentParser(add_help=False)
     run.add_argument("--threads", type=int, default=None,
                      help="worker threads (default: FRICKE_THREADS or CPU count)")
-    run.add_argument("--no-exact-verify", dest="exact_verify", action="store_false",
-                     help="skip exact re-verification of each orbit")
 
     ap = argparse.ArgumentParser(
         prog="fricke-orbits",
@@ -490,12 +495,13 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--max-den", type=int, default=30)
 
     y = sub.add_parser("cayley", parents=[out], help="orbit on the vanishing-parameter surface")
-    y.add_argument("--ry", required=True, help="rational angle, e.g. 1/3")
-    y.add_argument("--rz", required=True, help="rational angle, e.g. 1/3")
+    y.add_argument("--ry", type=_rational, required=True, help="rational angle, e.g. 1/3")
+    y.add_argument("--rz", type=_rational, required=True, help="rational angle, e.g. 1/3")
 
     b = sub.add_parser("bt", parents=[out], help="apply one transformation to theta")
     b.add_argument("--name", required=True, choices=BT_NAMES)
-    b.add_argument("--theta", required=True, help="four comma-separated rationals")
+    b.add_argument("--theta", type=_rationals, required=True,
+                   help="four comma-separated rationals")
 
     n = sub.add_parser("bench", parents=[eps, out], help="time the float scan per class")
     n.add_argument("--span", type=int, default=1 << 17,

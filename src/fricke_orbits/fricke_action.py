@@ -5,10 +5,16 @@ Each generator changes exactly one coordinate:
     x: X -> wX - X - Y*Z,   y: Y -> wY - Y - Z*X,   z: Z -> wZ - Z - X*Y,
 
 where (wX, wY, wZ) are fixed surface parameters.  Orbits live on the cubic
-surface X*Y*Z + X^2 + Y^2 + Z^2 - wX*X - wY*Y - wZ*Z + w4 = 4, and two
-parameter triples related by coordinate permutations combined with even sign
-flips (a K4 x S3 family of 24 transforms, w4 untouched) give equivalent orbit
-structures.
+surface X*Y*Z + X^2 + Y^2 + Z^2 - wX*X - wY*Y - wZ*Z + w4 = 4, whose
+parameters come from the four local traces (px, py, pz, pinf) by
+
+    wX = px*pinf + py*pz,   wY = py*pinf + pz*px,   wZ = pz*pinf + px*py,
+    w4 = px^2 + py^2 + pz^2 + pinf^2 + px*py*pz*pinf.
+
+omega4_of and omega_of_traces are the package's one copy of each
+formula.  Two parameter triples related by coordinate
+permutations combined with even sign flips (a K4 x S3 family of 24
+transforms, w4 untouched) give equivalent orbit structures.
 
 The module also handles 2-colored suborbits: the subgraph generated by two of
 the three involutions.  A finite one is either a simple cycle of 2N points or
@@ -85,17 +91,28 @@ def apply(g: str, p: Point3, w: Omega) -> Point3:
     raise ValueError(f"unknown generator {g!r}")
 
 
-def fricke_residual(p: Point3, w: Omega) -> CosSum:
+def omega4_of(p, wx, wy, wz):
+    """The unique w4 putting p on the surface with parameters (wx, wy, wz);
+    by + - * and an int literal only, so on CosSum, Fraction, QuadExt,
+    floats and float arrays alike."""
     X, Y, Z = p
-    return (X * Y * Z + X * X + Y * Y + Z * Z
-            - w.wx * X - w.wy * Y - w.wz * Z + w.w4 - 4)
+    return 4 + wx * X + wy * Y + wz * Z - (X * Y * Z + X * X + Y * Y + Z * Z)
 
 
-def omega4_of(p: Point3, wx: CosSum, wy: CosSum, wz: CosSum) -> CosSum:
-    """The unique w4 putting p on the surface with parameters (wx, wy, wz)."""
-    X, Y, Z = p
-    return (from_rational(4) - X * Y * Z - X * X - Y * Y - Z * Z
-            + wx * X + wy * Y + wz * Z)
+def fricke_residual(p, w: Omega):
+    """Surface residual w4 - omega4_of(p): zero exactly on the surface."""
+    return w.w4 - omega4_of(p, w.wx, w.wy, w.wz)
+
+
+def omega_of_traces(px, py, pz, pinf) -> Omega:
+    """Surface parameters (wX, wY, wZ, w4) of the four local traces, on
+    any ring as omega4_of."""
+    return Omega(
+        px * pinf + py * pz,
+        py * pinf + pz * px,
+        pz * pinf + px * py,
+        px * px + py * py + pz * pz + pinf * pinf + px * py * pz * pinf,
+    )
 
 
 def points_equal(p: Point3, q: Point3) -> bool:

@@ -14,10 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .fricke_action import Point3, cosine_angle, from_rational
-from .orbit_search import OrbitRecord, verify_record
-
-COLOR_NAMES = ("x", "y", "z")
+from .fricke_action import COLORS, Point3, cosine_angle, from_rational
+from .orbit_search import OrbitRecord, check_involutions, component_labels, verify_record
 
 # DOT rendering constants: one fixed color per generator.
 DOT_COLORS = {"x": "red", "y": "green", "z": "blue"}
@@ -47,7 +45,7 @@ class ColoredGraph:
         return [(i, m[i]) for i in range(self.size) if m[i] >= i]
 
     def self_loop_counts(self) -> Dict[str, int]:
-        return {name: len(self.loops(c)) for c, name in enumerate(COLOR_NAMES)}
+        return {name: len(self.loops(c)) for c, name in enumerate(COLORS)}
 
 
 def build_graph(rec: OrbitRecord) -> ColoredGraph:
@@ -63,34 +61,8 @@ def build_graph(rec: OrbitRecord) -> ColoredGraph:
     return ColoredGraph(size=rec.size, matchings=rec.neighbors)
 
 
-def _assert_involution(g: ColoredGraph, c: int) -> None:
-    m = g.matchings[c]
-    for i in range(g.size):
-        if not 0 <= m[i] < g.size or m[m[i]] != i:
-            raise ValueError(f"color {COLOR_NAMES[c]} relation is not an involution")
-
-
-def _components(size: int, edges: Sequence[Tuple[int, int]]) -> List[int]:
-    """Union-find component labels (smallest member as representative)."""
-
-    parent = list(range(size))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    return [find(i) for i in range(size)]
-
-
 def is_connected(g: ColoredGraph) -> bool:
-    edges = [e for c in range(3) for e in g.color_edges(c)]
-    return len(set(_components(g.size, edges))) <= 1
+    return all(label == 0 for label in component_labels(g.matchings, g.size))
 
 
 def lambda_orbit_count(g: ColoredGraph) -> int:
@@ -143,12 +115,11 @@ def check_invariants(g: ColoredGraph) -> None:
     the two-color subgraph.
     """
 
-    for c in range(3):
-        _assert_involution(g, c)
+    check_involutions(g.matchings, g.size)
     if not is_connected(g):
         raise ValueError("orbit graph must be connected")
     seen_pairs: Dict[Tuple[int, int], str] = {}
-    for c, name in enumerate(COLOR_NAMES):
+    for c, name in enumerate(COLORS):
         loops = len(g.loops(c))
         nonloop = [(i, j) for i, j in g.color_edges(c) if i != j]
         if (g.size - loops) % 2 != 0 or len(nonloop) != (g.size - loops) // 2:
@@ -157,14 +128,7 @@ def check_invariants(g: ColoredGraph) -> None:
             if e in seen_pairs:
                 raise ValueError(f"vertices {e} joined in both {seen_pairs[e]} and {name}")
             seen_pairs[e] = name
-        others = [
-            e
-            for c2 in range(3)
-            if c2 != c
-            for e in g.color_edges(c2)
-            if e[0] != e[1]
-        ]
-        labels = _components(g.size, others)
+        labels = component_labels(g.matchings[:c] + g.matchings[c + 1:], g.size)
         for i, j in nonloop:
             if labels[i] == labels[j]:
                 raise ValueError(
@@ -175,9 +139,9 @@ def check_invariants(g: ColoredGraph) -> None:
 def cycle_count(g: ColoredGraph) -> int:
     """Independent simple cycles of length >= 2 (self-loops not counted)."""
 
-    edges = [e for c in range(3) for e in g.color_edges(c) if e[0] != e[1]]
-    ncomp = len(set(_components(g.size, edges)))
-    return len(edges) - g.size + ncomp
+    edges = sum(1 for c in range(3) for i, j in g.color_edges(c) if i != j)
+    ncomp = len(set(component_labels(g.matchings, g.size)))
+    return edges - g.size + ncomp
 
 
 def graph_stats(g: ColoredGraph) -> Dict[str, object]:
@@ -226,7 +190,7 @@ def export_dot(g: ColoredGraph, labels: Optional[Sequence[str]] = None) -> str:
         else:
             text = labels[i].replace('"', '\\"')
             lines.append(f'  {i} [label="{text}"];')
-    for c, name in enumerate(COLOR_NAMES):
+    for c, name in enumerate(COLORS):
         for i, j in g.color_edges(c):
             lines.append(f"  {i} -- {j} [color={DOT_COLORS[name]}];")
     lines.append("}")

@@ -35,6 +35,7 @@ import numpy as np
 
 from . import _kernels
 from .fricke_action import (
+    COLORS,
     Omega,
     Point3,
     PointSet,
@@ -65,17 +66,19 @@ __all__ = [
     "SearchResult",
     "build_dictionaries",
     "cayley_orbit",
+    "check_involutions",
     "check_search_args",
     "class_counter",
     "classify_special",
     "close_orbit",
+    "component_labels",
     "decode_config",
     "enumerate_class",
     "full_search",
     "get_dictionaries",
     "get_search_tables",
+    "golden_assignment",
     "golden_match",
-    "golden_relation",
     "verify_record",
 ]
 
@@ -329,12 +332,6 @@ class OrbitRecord:
     def canonical(self) -> Tuple[CosSum, ...]:
         return canonical_key(self.points, self.omega)
 
-    def self_loops(self, i: int) -> int:
-        return sum(1 for c in range(3) if self.neighbors[c][i] == i)
-
-    def bad_indices(self) -> Tuple[int, ...]:
-        return tuple(i for i in range(self.size) if self.self_loops(i) >= 2)
-
 
 def close_orbit(
     point: Point3,
@@ -412,14 +409,45 @@ def close_orbit(
     )
 
 
+def check_involutions(tables: Sequence[Sequence[int]], n: int) -> None:
+    """Raise ValueError unless each table maps range(n) to itself as an
+    involution: one partner per point, the point itself for a fixed one."""
+
+    for c, col in enumerate(tables):
+        if len(col) != n:
+            raise ValueError("neighbor table size mismatch")
+        for i in range(n):
+            j = col[i]
+            if not (0 <= j < n) or col[j] != i:
+                raise ValueError(f"color {COLORS[c]} relation is not an involution")
+
+
+def component_labels(tables: Sequence[Sequence[int]], n: int) -> List[int]:
+    """For each of the n points, the smallest point of its connected
+    component in the graph whose edges are i -- col[i] for each table."""
+
+    labels = [-1] * n
+    for i in range(n):
+        if labels[i] < 0:
+            labels[i] = i
+            todo = [i]
+            while todo:
+                k = todo.pop()
+                for col in tables:
+                    if labels[col[k]] < 0:
+                        labels[col[k]] = i
+                        todo.append(col[k])
+    return labels
+
+
 def verify_record(rec: OrbitRecord) -> bool:
     """Exact re-check: involution tables, surface membership, every edge.
 
-    The residual is evaluated at one point per connected component of the
-    neighbour table.  `apply` maps x to wx - x - yz, the other root of the
-    residual as a quadratic in x, so R(s_x p) = R(p) identically (and so
-    for y and z); every edge is then confirmed exactly, which carries the
-    residual across its component.
+    The residual is evaluated at the smallest point of each connected
+    component of the neighbour table.  `apply` maps x to wx - x - yz, the
+    other root of the residual as a quadratic in x, so R(s_x p) = R(p)
+    identically (and so for y and z); every edge is then confirmed
+    exactly, which carries the residual across its component.
 
     Each edge is confirmed once, from its lower end (j >= i, so self-loops
     too): apply is an involution as a polynomial identity, wx - (wx - x -
@@ -427,29 +455,12 @@ def verify_record(rec: OrbitRecord) -> bool:
     p_j implies apply(g, p_j) = p_i.
     """
 
-    n = rec.size
-    for c in range(3):
-        col = rec.neighbors[c]
-        if len(col) != n:
-            raise ValueError("neighbor table size mismatch")
-        for i in range(n):
-            j = col[i]
-            if not (0 <= j < n) or col[j] != i:
-                raise ValueError("neighbor table is not an involution")
-    reached = [False] * n
+    check_involutions(rec.neighbors, rec.size)
+    labels = component_labels(rec.neighbors, rec.size)
     for i, p in enumerate(rec.points):
-        if not reached[i]:
-            if not fricke_residual(p, rec.omega).is_zero():
-                raise ValueError(f"point {i} is off the surface")
-            reached[i] = True
-            todo = [i]
-            while todo:
-                k = todo.pop()
-                for col in rec.neighbors:
-                    if not reached[col[k]]:
-                        reached[col[k]] = True
-                        todo.append(col[k])
-        for c, g in enumerate("xyz"):
+        if labels[i] == i and not fricke_residual(p, rec.omega).is_zero():
+            raise ValueError(f"point {i} is off the surface")
+        for c, g in enumerate(COLORS):
             j = rec.neighbors[c][i]
             if j >= i and not points_equal(apply(g, p, rec.omega), rec.points[j]):
                 raise ValueError(f"edge {g} at point {i} mismatches the table")
@@ -619,7 +630,6 @@ def check_search_args(threads: Optional[int], eps: float) -> None:
 def full_search(
     threads: Optional[int] = None,
     eps: float = EPS,
-    exact_verify: bool = True,
     backend: Optional[str] = None,
 ) -> SearchResult:
     """Scan all four arenas and return the verified exceptional orbits.
@@ -627,7 +637,8 @@ def full_search(
     The result list is sorted by (size, canonical key) and is identical
     for every thread count: work is split into fixed chunks merged in
     index order, and all decisions downstream of the float scan are
-    exact.  Arguments failing check_search_args, and a backend other than
+    exact.  Every record passes verify_record, or ConsistencyError is
+    raised.  Arguments failing check_search_args, and a backend other than
     None or "numpy", raise ValueError before anything is scanned.
     """
 
@@ -715,15 +726,14 @@ def full_search(
             continue
         records.append(rec)
 
-    if exact_verify:
-        for rec in records:
-            try:
-                verify_record(rec)
-            except ValueError as exc:
-                raise ConsistencyError(
-                    f"orbit of class {rec.source[0]} index {rec.source[1]} fails "
-                    f"verify_record: {exc}"
-                ) from exc
+    for rec in records:
+        try:
+            verify_record(rec)
+        except ValueError as exc:
+            raise ConsistencyError(
+                f"orbit of class {rec.source[0]} index {rec.source[1]} fails "
+                f"verify_record: {exc}"
+            ) from exc
     records.sort(key=cmp_to_key(_record_cmp))
     return SearchResult(
         records=records,
@@ -761,36 +771,44 @@ def _matches_row(rec: OrbitRecord, row) -> bool:
     return False
 
 
-def golden_relation(records: Sequence[OrbitRecord], rows: Sequence) -> List[List[int]]:
-    """For each record, the positions in rows of the reference rows it
-    matches: same size, parameters equal up to the 24 symmetries, and the
-    transformed representative contained in the record."""
+def golden_assignment(
+    records: Sequence[OrbitRecord], rows: Sequence, complete: bool = True
+) -> Tuple[Dict[int, int], List[str]]:
+    """The record-to-row bijection: ({record position: row idx}, problems).
 
-    return [[j for j, row in enumerate(rows) if _matches_row(rec, row)] for rec in records]
+    A record matches a row when the sizes agree, the parameters agree up to
+    the 24 symmetries and the transformed representative lies in the
+    record.  A row goes to the one record matching it unless an earlier
+    row took that record; otherwise it is ambiguous, or, with complete, a
+    problem when no record matches it.  Records left without a row are
+    reported only when every row is settled.
+    """
+
+    used: Dict[int, int] = {}
+    problems: List[str] = []
+    for row in rows:
+        matches = [i for i, rec in enumerate(records) if _matches_row(rec, row)]
+        if len(matches) == 1 and matches[0] not in used:
+            used[matches[0]] = row.idx
+        elif matches:
+            problems.append(f"row {row.idx}: ambiguous matches {matches}")
+        elif complete:
+            problems.append(f"row {row.idx}: no computed orbit matches")
+    if not problems:
+        problems = [
+            f"computed orbit {i + 1} (size {rec.size}) matches no row"
+            for i, rec in enumerate(records) if i not in used
+        ]
+    return used, problems
 
 
 def golden_match(records: Sequence[OrbitRecord], complete: bool = True) -> List[int]:
-    """1-based reference row index for each record.
-
-    Each record must match exactly one row (see golden_relation); with
-    complete=True the assignment must be a bijection.
-    """
+    """1-based reference row index for each record; ValueError with the
+    first problem of golden_assignment against the bundled table."""
 
     from .golden import GOLDEN_ROWS
 
-    out: List[int] = []
-    used = set()
-    for rec, hits in zip(records, golden_relation(records, GOLDEN_ROWS)):
-        hits = [GOLDEN_ROWS[j].idx for j in hits]
-        if len(hits) != 1:
-            raise ValueError(
-                f"orbit of size {rec.size} matched reference rows {hits}"
-            )
-        if hits[0] in used:
-            raise ValueError(f"reference row {hits[0]} matched twice")
-        used.add(hits[0])
-        out.append(hits[0])
-    if complete and len(used) != len(GOLDEN_ROWS):
-        missing = sorted(set(r.idx for r in GOLDEN_ROWS) - used)
-        raise ValueError(f"reference rows not found: {missing}")
-    return out
+    used, problems = golden_assignment(records, GOLDEN_ROWS, complete)
+    if problems:
+        raise ValueError(problems[0])
+    return [used[i] for i in range(len(records))]

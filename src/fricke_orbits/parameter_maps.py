@@ -7,8 +7,9 @@ surface parameters
     wX = px*pinf + py*pz,   wY = py*pinf + pz*px,   wZ = pz*pinf + px*py,
     w4 = px^2 + py^2 + pz^2 + pinf^2 + px*py*pz*pinf.
 
-This module computes that map exactly, provides the cubic satisfied by
-xi = sum of p^2 together with its closed-form roots, implements the
+This module evaluates that map (fricke_action.omega_of_traces) exactly
+and in floats, provides the cubic satisfied by xi = sum of p^2
+together with its closed-form roots, implements the
 standard Backlund transformations on theta and on the surface
 parameters, builds the shift operators that translate one theta
 coordinate by 2, and recovers all bounded-denominator theta tuples for
@@ -25,7 +26,7 @@ from typing import Dict, List, NamedTuple, Sequence, Set, Tuple
 
 import numpy as np
 
-from .fricke_action import Omega, all_equivalences, equiv_transform
+from .fricke_action import Omega, all_equivalences, equiv_transform, omega_of_traces
 from .trig_field import CosSum, compare_tuples, cos_value, from_rational
 
 _HALF = Fraction(1, 2)
@@ -62,13 +63,7 @@ def p_of_theta(t: Theta) -> PTuple:
 def omega_from_theta(t: Theta) -> Omega:
     """Exact surface parameters (wX, wY, wZ, w4) of a theta tuple."""
 
-    px, py, pz, pi = p_of_theta(t)
-    return Omega(
-        px * pi + py * pz,
-        py * pi + pz * px,
-        pz * pi + px * py,
-        px * px + py * py + pz * pz + pi * pi + px * py * pz * pi,
-    )
+    return omega_of_traces(*p_of_theta(t))
 
 
 def omega_equivalent(a: Omega, b: Omega) -> bool:
@@ -119,7 +114,7 @@ def xi_roots(t: Theta) -> Tuple[CosSum, CosSum, CosSum]:
 
     p = p_of_theta(t)
     xi0 = p.px * p.px + p.py * p.py + p.pz * p.pz + p.pinf * p.pinf
-    cos_prod = p.px * p.py * p.pz * p.pinf
+    cos_prod = omega_of_traces(*p).w4 - xi0  # w4 = xi0 + px*py*pz*pinf
     sin_prod = from_rational(1)
     for q in t:
         sin_prod = sin_prod * cos_value(_HALF - q)
@@ -289,7 +284,8 @@ def theta_candidates_for_omega(w: Omega, den_bound: int = 30) -> List[Theta]:
     [0, 1] with denominator at most den_bound.  A float sweep solves
     px*pinf = wX - py*pz by a sorted-products window (1e-6, far above
     roundoff, far below any true separation that matters because every
-    survivor is confirmed exactly in the ring), then each surviving
+    survivor is confirmed exactly in the ring) and screens the window's
+    tuples on wY, wZ and w4 in one array pass per py; each surviving
     angle 4-tuple is expanded into the theta mirrors a and 2-a.
     """
 
@@ -307,32 +303,22 @@ def theta_candidates_for_omega(w: Omega, den_bound: int = 30) -> List[Theta]:
         targets = wxf - pf[iy] * pf
         lo = np.searchsorted(sprod, targets - 1e-6)
         hi = np.searchsorted(sprod, targets + 1e-6)
-        for iz in np.nonzero(hi > lo)[0]:
-            py, pz = pf[iy], pf[iz]
-            for k in order[lo[iz]:hi[iz]]:
-                ix, iinf = divmod(int(k), m)
-                px, pi = pf[ix], pf[iinf]
-                if abs(wyf - (py * pi + pz * px)) > 1e-6:
-                    continue
-                if abs(wzf - (pz * pi + px * py)) > 1e-6:
-                    continue
-                s4 = px * px + py * py + pz * pz + pi * pi + px * py * pz * pi
-                if abs(w4f - s4) > 1e-6:
-                    continue
-                hits.add((ix, iy, iz, iinf))
+        # the windows of all iz, concatenated: sorted positions lo[iz]..hi[iz]-1
+        counts = hi - lo
+        iz = np.repeat(np.arange(m), counts)
+        pos = np.arange(len(iz)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        ix, iinf = np.divmod(order[pos], m)
+        cw = omega_of_traces(pf[ix], pf[iy], pf[iz], pf[iinf])
+        keep = ((np.abs(wyf - cw.wy) <= 1e-6) & (np.abs(wzf - cw.wz) <= 1e-6)
+                & (np.abs(w4f - cw.w4) <= 1e-6))
+        hits.update(zip(ix[keep].tolist(), itertools.repeat(iy),
+                        iz[keep].tolist(), iinf[keep].tolist()))
 
     out: Set[Theta] = set()
     for ix, iy, iz, iinf in sorted(hits):
         quad = (angles[ix], angles[iy], angles[iz], angles[iinf])
-        p = tuple(cos_value(q) for q in quad)
-        checks = (
-            p[0] * p[3] + p[1] * p[2] - w.wx,
-            p[1] * p[3] + p[2] * p[0] - w.wy,
-            p[2] * p[3] + p[0] * p[1] - w.wz,
-            p[0] * p[0] + p[1] * p[1] + p[2] * p[2] + p[3] * p[3]
-            + p[0] * p[1] * p[2] * p[3] - w.w4,
-        )
-        if not all(c.is_zero() for c in checks):
+        cw = omega_of_traces(*(cos_value(q) for q in quad))
+        if not all((a - b).is_zero() for a, b in zip(cw, w)):
             continue
         mirrors = [
             (q,) if q == 0 else ((q,) if q == 1 else (q, 2 - q)) for q in quad

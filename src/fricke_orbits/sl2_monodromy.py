@@ -8,7 +8,8 @@ The three involutions x, y, z and the auxiliary maps s, t, r act on triples
 
 are the invariants the rest of the package works with; this module exists to
 validate the induced coordinate action against honest matrix computations and
-to rebuild a triple from its invariants.
+to rebuild a triple from its invariants.  The surface relation and the
+parameter map are fricke_action's own functions, run here on exact scalars.
 
 All arithmetic is exact: rational entries in, rational or quadratic-extension
 entries out.  No floats anywhere in this module.
@@ -19,7 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Tuple, Union
+from typing import NamedTuple, Union
+
+from .fricke_action import Omega, fricke_residual, omega_of_traces
 
 
 class ReducibleLocus(ValueError):
@@ -208,21 +211,14 @@ def act(g: str, tr: Triple) -> Triple:
     raise ValueError(f"unknown generator {g!r}")
 
 
-def omegas_of(s: SevenTuple) -> Tuple[Scalar, Scalar, Scalar, Scalar]:
+def omegas_of(s: SevenTuple) -> Omega:
     """Surface parameters (wX, wY, wZ, w4) determined by the four p traces."""
-    wx = s.px * s.pinf + s.py * s.pz
-    wy = s.py * s.pinf + s.pz * s.px
-    wz = s.pz * s.pinf + s.px * s.py
-    w4 = (s.px * s.px + s.py * s.py + s.pz * s.pz + s.pinf * s.pinf
-          + s.px * s.py * s.pz * s.pinf)
-    return wx, wy, wz, w4
+    return omega_of_traces(s.px, s.py, s.pz, s.pinf)
 
 
 def seven_residual(s: SevenTuple) -> Scalar:
     """Residual of the surface relation; exactly zero on invariants of triples."""
-    wx, wy, wz, w4 = omegas_of(s)
-    return (s.X * s.Y * s.Z + s.X * s.X + s.Y * s.Y + s.Z * s.Z
-            - wx * s.X - wy * s.Y - wz * s.Z + w4 - 4)
+    return fricke_residual((s.X, s.Y, s.Z), omegas_of(s))
 
 
 def derived_trace_tbac(s: SevenTuple) -> Scalar:

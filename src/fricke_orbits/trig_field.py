@@ -687,20 +687,25 @@ def cossum_to_str(v: CosSum) -> str:
 
 
 def cossum_from_str(s: str) -> CosSum:
+    """The inverse of cossum_to_str; anything it does not parse, a zero
+    denominator included, raises ValueError naming the literal."""
     text = s.replace(" ", "")
     if not text:
         raise ValueError("empty ring literal")
     out = from_rational(0)
-    for tok in re.findall(r"[+-]?[^+-]+", text):
-        sign = 1
-        if tok[0] == "+":
-            tok = tok[1:]
-        elif tok[0] == "-":
-            sign, tok = -1, tok[1:]
-        m = _TERM_RE.match(tok)
-        if m:
-            coeff = Fraction(m.group(1)) if m.group(1) else Fraction(1)
-            out = out + cos_value(int(m.group(2)), int(m.group(3))) * (sign * coeff)
-        else:
-            out = out + from_rational(sign * Fraction(tok))
+    try:
+        for tok in re.findall(r"[+-]?[^+-]+", text):
+            sign = 1
+            if tok[0] == "+":
+                tok = tok[1:]
+            elif tok[0] == "-":
+                sign, tok = -1, tok[1:]
+            m = _TERM_RE.match(tok)
+            if m:
+                coeff = Fraction(m.group(1)) if m.group(1) else Fraction(1)
+                out = out + cos_value(int(m.group(2)), int(m.group(3))) * (sign * coeff)
+            else:
+                out = out + from_rational(sign * Fraction(tok))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad ring literal {s!r}: {exc}") from exc
     return out

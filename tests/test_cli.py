@@ -1,10 +1,11 @@
 import json
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from fricke_orbits import _kernels, orbit_search
+from fricke_orbits import _kernels, golden, orbit_search
 from fricke_orbits.cli import (
     RunConfig,
     cmd_search,
@@ -63,6 +64,8 @@ def test_codec_parses_spaces_and_signs():
         cossum_from_str("")
     with pytest.raises(ValueError):
         cossum_from_str("2cos(pi*x/5)")
+    with pytest.raises(ValueError, match="1/0"):
+        cossum_from_str("2cos(pi*1/5)+1/0")
 
 
 def test_value_obj_fields():
@@ -152,6 +155,39 @@ def test_main_maps_input_errors_to_exit_2(tmp_path, capsys):
     assert main(["graph", "1", "--out", str(tmp_path / "no" / "dir" / "g.dot")]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["cayley", "--ry", "1/0", "--rz", "1/3"],
+    ["bt", "--name", "s_x", "--theta", "1/0,1,1,1"],
+], ids=["cayley", "bt"])
+def test_main_rejects_a_zero_denominator_as_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "1/0" in err and "Traceback" not in err
+
+
+def _omega_of_zero_denominator():
+    data = json.loads(golden_to_json())
+    data["rows"][0]["omega"][0] = "1/0"
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("content, names", [
+    ('{"rows":[{"index":1}]}', ["row 1", "size"]),
+    ("[1,2]", ["rows"]),
+    (_omega_of_zero_denominator(), ["row 1", "1/0"]),
+], ids=["missing-field", "not-an-object", "zero-denominator"])
+def test_main_maps_a_malformed_golden_file_to_exit_2(tmp_path, capsys, content, names):
+    path = tmp_path / "golden.json"
+    path.write_text(content)
+    assert main(["verify", "--golden", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert str(path) in captured.err and "Traceback" not in captured.err
+    assert all(name in captured.err for name in names)
+    assert captured.out == ""
+
+
 def _first_blocks_only(monkeypatch):
     # full_search over the first 2^17 seeds of each class, which hold 11 of
     # the 45 orbits: a quarter of a second instead of a full scan
@@ -176,6 +212,15 @@ def test_main_maps_a_rejected_orbit_to_exit_3(monkeypatch, capsys, command):
         raise ValueError("edge x at point 0 mismatches the table")
 
     monkeypatch.setattr(orbit_search, "verify_record", reject)
+    _assert_internal_failure(capsys, [command, "--threads", "1"])
+
+
+@pytest.mark.parametrize("command", ["search", "verify"])
+@pytest.mark.parametrize("counter", ["cap_hits", "junk"])
+def test_main_maps_cap_hits_and_junk_to_exit_3(monkeypatch, capsys, search_result,
+                                               command, counter):
+    tainted = replace(search_result, **{counter: 1})
+    monkeypatch.setattr("fricke_orbits.cli.full_search", lambda **kwargs: tainted)
     _assert_internal_failure(capsys, [command, "--threads", "1"])
 
 
@@ -321,11 +366,6 @@ def test_render_search_text(search_result):
     assert "elapsed" not in text and "threads" not in text
 
 
-def test_render_search_unverified_flag(search_result):
-    text = render_search(search_result, "text", verified=False)
-    assert "verified=no" in text
-
-
 def test_render_search_json(search_result):
     data = json.loads(render_search(search_result, "json"))
     assert data["meta"]["orbits"] == 45 and data["meta"]["verified"] is True
@@ -392,6 +432,47 @@ def test_cmd_verify_sign_flip_equivalent(search_result, tmp_path, capsys):
     rc = cmd_verify(RunConfig(), golden_path=str(path), result=search_result)
     capsys.readouterr()
     assert rc == 0
+
+
+def _bijection_case(kind, records):
+    rows = list(GOLDEN_ROWS)
+    if kind == "bijection":
+        return records[:3], rows[:3]
+    if kind == "record-matches-no-row":
+        return records[:3] + [orbit_search.cayley_orbit(Fraction(1, 3), Fraction(1, 5))], rows[:3]
+    if kind == "record-matches-two-rows":
+        return records[:1], [rows[0], replace(rows[0], idx=99)]
+    if kind == "row-matched-twice":
+        return [records[0], records[0]], rows[:1]
+    assert kind == "row-missing"
+    return records[:2], rows[:3]
+
+
+@pytest.mark.parametrize("kind, ok", [
+    ("bijection", True),
+    ("record-matches-no-row", False),
+    ("record-matches-two-rows", False),
+    ("row-matched-twice", False),
+    ("row-missing", False),
+])
+def test_golden_match_and_verify_records_agree(monkeypatch, golden_records, kind, ok):
+    records, rows = _bijection_case(kind, golden_records)
+    monkeypatch.setattr(golden, "GOLDEN_ROWS", rows)
+
+    def matches(complete):
+        try:
+            orbit_search.golden_match(records, complete=complete)
+        except ValueError:
+            return False
+        return True
+
+    used, diffs = verify_records(records, rows)
+    assert (diffs == []) == ok == matches(True)
+    # complete=False forgives only rows that no record matches
+    assert matches(False) == (ok or kind == "row-missing")
+    if ok:
+        assert used == {0: 1, 1: 2, 2: 3}
+        assert orbit_search.golden_match(records) == [1, 2, 3]
 
 
 def test_verify_records_reports_excess_orbit(search_result):

@@ -36,6 +36,7 @@ from fricke_orbits.orbit_search import (
     verify_record,
 )
 from fricke_orbits.golden import GOLDEN_ROWS
+from fricke_orbits.orbit_graphs import bad_points, build_graph
 from fricke_orbits.trig_field import cos_value, from_rational, match_dictionary
 
 D = get_dictionaries()
@@ -221,6 +222,12 @@ def _ref_decode_vec(cls, idx):
     return X, Y, Z, wx, wy, wz
 
 
+def _ref_omega4(X, Y, Z, wx, wy, wz):
+    """The scan's float w4, written out in its operation order with a float
+    literal: the reference omega4_of must match bit for bit."""
+    return 4.0 + wx * X + wy * Y + wz * Z - (X * Y * Z + X * X + Y * Y + Z * Z)
+
+
 def _ref_decode_config(cls, index):
     s1, s4 = D.s1, D.s4
     if cls == 1:
@@ -292,9 +299,13 @@ def test_float_decode_matches_reference_bitwise(cls):
     got = _kernels._decode_vec(cls, idx, KT)
     for a, b in zip(got, _ref_decode_vec(cls, idx)):
         assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
+    X, Y, Z, wx, wy, wz = got
+    w4 = omega4_of((X, Y, Z), wx, wy, wz)
+    assert w4.dtype == np.float64
+    assert w4.tobytes() == _ref_omega4(X, Y, Z, wx, wy, wz).tobytes()
     for i in idx[::37].tolist():
         want = [float(v[0]) for v in _ref_decode_vec(cls, np.array([i]))]
-        want.append(_kernels._omega4(*want))
+        want.append(_ref_omega4(*want))
         assert [v.hex() for v in _kernels.decode_float(cls, i, KT)] == [v.hex() for v in want]
 
 
@@ -336,8 +347,7 @@ W5 = make_omega(0, 1, 1, 4)
 def test_close_orbit_worked_example():
     rec = close_orbit(make_point(-1, 1, 1), W5)
     assert rec is not None and rec.size == 5
-    verify_record(rec)
-    assert rec.bad_indices() == (0,)
+    assert bad_points(build_graph(rec)) == (0,)
     # starting anywhere in the orbit gives the same point set
     rec2 = close_orbit(make_point(0, 0, 0), W5)
     assert rec2 is not None and rec2.size == 5
@@ -375,7 +385,7 @@ def test_close_orbit_rejects_before_the_cap(monkeypatch):
 def _is_snapped(rec, s4_floats):
     """Every coordinate of a point that is neither the seed nor a bad point
     is the s4 entry's own object, or the seed's object it inherits."""
-    bad = set(rec.bad_indices())
+    bad = set(bad_points(build_graph(rec)))
     seed = rec.points[0]
     for i, p in enumerate(rec.points[1:], 1):
         if i in bad:
@@ -671,7 +681,7 @@ def _per_seed_reference(cls, start, stop, eps=EPS):
         if cls == 1 and idx == KT.skip1:
             continue
         nproc += 1
-        w4 = _kernels._omega4(X, Y, Z, wx, wy, wz)
+        w4 = _ref_omega4(X, Y, Z, wx, wy, wz)
         if cls == 3:
             zp = wz - Z - X * Y
             k = bisect.bisect_left(s1, zp)

@@ -1,9 +1,11 @@
 """Theta/omega maps, the xi cubic, Backlund table, shifts, recovery."""
 
+import math
 import random
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fricke_orbits.fricke_action import Omega
@@ -25,7 +27,7 @@ from fricke_orbits.parameter_maps import (
     xi_root_check,
     xi_roots,
 )
-from fricke_orbits.trig_field import from_rational
+from fricke_orbits.trig_field import cos_value, from_rational
 
 F = Fraction
 
@@ -220,6 +222,39 @@ def test_candidates_nonempty_for_all_rows():
     for idx in range(1, 46):
         g = golden_row(idx)
         assert theta_candidates_for_omega(Omega(*g.omega, g.omega4), 30)
+
+
+def _brute_force_quads(w, den_bound):
+    """Every angle 4-tuple in [0, 1] with denominators up to den_bound whose
+    traces map to w: all tuples screened at once in floats, the map written
+    out, then confirmed exactly."""
+    angles = sorted({F(n, d) for d in range(1, den_bound + 1) for n in range(d + 1)})
+    pf = np.array([2.0 * math.cos(math.pi * float(a)) for a in angles])
+    px, py, pz, pinf = np.meshgrid(pf, pf, pf, pf, indexing="ij")
+    near = np.ones(px.shape, dtype=bool)
+    for value, target in (
+        (px * pinf + py * pz, w.wx), (py * pinf + pz * px, w.wy),
+        (pz * pinf + px * py, w.wz),
+        (px * px + py * py + pz * pz + pinf * pinf + px * py * pz * pinf, w.w4),
+    ):
+        near &= np.abs(value - target.float_value()) <= 1e-5
+    out = set()
+    for idx in zip(*np.nonzero(near)):
+        quad = tuple(angles[i] for i in idx)
+        x, y, z, f = (cos_value(q) for q in quad)
+        if all((a - b).is_zero() for a, b in zip(
+                (x * f + y * z, y * f + z * x, z * f + x * y,
+                 x * x + y * y + z * z + f * f + x * y * z * f), w)):
+            out.add(quad)
+    return out
+
+
+@pytest.mark.parametrize("idx", [1, 2, 12, 31, 45])
+def test_candidates_match_brute_force(idx):
+    g = golden_row(idx)
+    w = Omega(*g.omega, g.omega4)
+    cands = theta_candidates_for_omega(w, 8)
+    assert {tuple(min(q, 2 - q) for q in t) for t in cands} == _brute_force_quads(w, 8)
 
 
 def test_d4_related_branches():

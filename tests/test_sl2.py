@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from fricke_orbits.fricke_action import fricke_residual, omega_of_traces
 from fricke_orbits.sl2_monodromy import (
     Mat2,
     NotRepresentable,
+    QuadExt,
     ReducibleLocus,
     SevenTuple,
     Triple,
@@ -71,6 +73,30 @@ def test_residual_vanishes_on_triples():
     for _ in range(200):
         s = invariants(random_triple(rng))
         assert seven_residual(s) == 0
+
+
+def test_fricke_residual_vanishes_on_matrix_invariants():
+    # the search's own surface relation and parameter map, checked against
+    # matrix traces over Q, over Q(sqrt 2) through a factor of trace
+    # 2*sqrt(2), and on triples rebuilt over a quadratic extension
+    rng = random.Random(12)
+    r2 = QuadExt(Fraction(0), Fraction(1), Fraction(2))
+    m = Mat2(r2 + 1, Fraction(0), Fraction(0), r2 - 1)
+    irrational = rebuilt = 0
+    for _ in range(100):
+        t = random_triple(rng)
+        s = invariants(t)
+        q = invariants(Triple(m @ t.mx, t.my, t.mz))
+        irrational += any(isinstance(v, QuadExt) and v.b != 0 for v in q)
+        try:
+            u = reconstruct(s)
+        except ReducibleLocus:
+            u = t
+        rebuilt += isinstance(u.mx.a, QuadExt)
+        for v in (s, q, invariants(u)):
+            w = omega_of_traces(v.px, v.py, v.pz, v.pinf)
+            assert fricke_residual((v.X, v.Y, v.Z), w) == 0
+    assert irrational > 90 and rebuilt > 50
 
 
 def test_presentation_relations_on_invariants():
