@@ -33,6 +33,7 @@ from .fricke_action import Omega, all_equivalences
 from .golden import GOLDEN_ROWS, GoldenRow, golden_row
 from .orbit_graphs import angle_label, build_graph, export_dot, graph_stats, point_labels
 from .orbit_search import (
+    EPS,
     CapError,
     ConsistencyError,
     OrbitRecord,
@@ -76,7 +77,7 @@ def value_obj(v: CosSum) -> Dict[str, object]:
 @dataclass
 class RunConfig:
     threads: Optional[int] = None
-    eps: float = 1e-8
+    eps: float = EPS
     fmt: str = "text"
     out: Optional[str] = None
 
@@ -264,13 +265,6 @@ def load_golden(path: str) -> List[GoldenRow]:
     return rows
 
 
-def verify_records(records: Sequence[OrbitRecord], rows: Sequence[GoldenRow]):
-    """Equivalence-aware bijection check; returns (assignment, diff lines),
-    orbit_search.golden_assignment of every row."""
-
-    return golden_assignment(records, rows)
-
-
 def cmd_verify(
     cfg: RunConfig,
     golden_path: Optional[str] = None,
@@ -279,7 +273,7 @@ def cmd_verify(
     cfg.validate()
     rows = load_golden(golden_path) if golden_path else list(GOLDEN_ROWS)
     result = _run_search(cfg, result)
-    _, diffs = verify_records(result.records, rows)
+    _, diffs = golden_assignment(result.records, rows)
     if diffs:
         _emit("".join(d + "\n" for d in diffs), cfg.out)
         print(f"verify: {len(diffs)} difference(s)", file=sys.stderr)
@@ -456,8 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None, help="write output to this path")
     eps = argparse.ArgumentParser(add_help=False)
-    eps.add_argument("--eps", type=float, default=1e-8,
-                     help="float matching tolerance (default 1e-8)")
+    eps.add_argument("--eps", type=float, default=EPS,
+                     help="float matching tolerance (default %(default)g)")
     run = argparse.ArgumentParser(add_help=False)
     run.add_argument("--threads", type=int, default=None,
                      help="worker threads (default: FRICKE_THREADS or CPU count)")

@@ -24,15 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-import mpmath
-
 from .trig_field import CosSum, cos_value, from_rational
 
 Phi = Tuple[Fraction, ...]
-
-FAMILY_TAGS = ("II_phi", "III_phi", "III_1", "IV", "V_1", "V_2", "V_3",
-               "V_phi", "VI_1", "VI_2", "VI_3", "VI_4", "VI_5", "VI_phi",
-               "other")
 
 
 class BudgetExceeded(RuntimeError):
@@ -44,10 +38,6 @@ class PhiTuple:
     phis: Phi
     irreducible: bool
     family: str
-
-    @property
-    def n(self) -> int:
-        return len(self.phis)
 
 
 def _frac(v) -> Fraction:
@@ -75,24 +65,8 @@ def cos2pi_sum(t: Iterable) -> CosSum:
     return acc
 
 
-def _certainly_nonzero(v: CosSum, fast_tol: float = 1e-7) -> bool:
-    """Sound nonzero certificate: cheap float bound, then 60-digit bound.
-
-    Both evaluation errors are far below the thresholds for sums of at most
-    a few dozen bounded terms, so True is trustworthy; False means "decide
-    exactly".
-    """
-    if abs(v.float_value()) > fast_tol:
-        return True
-    return abs(v.mp_value(60)) > mpmath.mpf("1e-40")
-
-
 def is_vanishing(t: Iterable) -> bool:
-    t = [_frac(q) for q in t]
-    s = cos2pi_sum(t)
-    if _certainly_nonzero(s):
-        return False
-    return s.is_zero()
+    return cos2pi_sum(t).is_zero()
 
 
 def is_irreducible(t: Iterable) -> bool:
@@ -111,8 +85,7 @@ def is_irreducible(t: Iterable) -> bool:
         if abs(fsum) > 1e-7:
             continue
         sub = [t[i] for i in range(n) if mask >> i & 1]
-        s = cos2pi_sum(sub)
-        if not _certainly_nonzero(s) and s.is_zero():
+        if cos2pi_sum(sub).is_zero():
             return False
     return True
 
@@ -284,8 +257,7 @@ def enumerate_vanishing(n: int, den_bound: DenSpec,
         # denominator tuple could be needlessly expensive
         if not is_irreducible(t):
             return
-        s = cos2pi_sum(t)
-        if _certainly_nonzero(s) or not s.is_zero():
+        if not cos2pi_sum(t).is_zero():
             return
         c = canonicalize(t)
         if c not in found:
@@ -386,9 +358,6 @@ def unity_sum(t: Iterable) -> Tuple[CosSum, CosSum]:
 
 def is_vanishing_unity(t: Iterable) -> bool:
     re, im = unity_sum(t)
-    for part in (re, im):
-        if _certainly_nonzero(part):
-            return False
     return re.is_zero() and im.is_zero()
 
 

@@ -304,26 +304,33 @@ def cosine_angle(v: CosSum, max_den: int = PERIOD_CAP) -> Optional[Fraction]:
     return None
 
 
-def _walk(p: Point3, w: Omega, colors: Tuple[str, str], cap: int) -> List[Point3]:
-    """All points reachable from p using the two given colors."""
-    ps = PointSet()
-    ps.add(p)
-    frontier = [p]
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for c in colors:
-                img = apply(c, q, w)
-                if ps.find(img) is None:
-                    if len(ps) >= cap:
-                        raise Diverges(f"suborbit exceeded {cap} points")
-                    ps.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return ps.points
+def _ray(p: Point3, img: Point3, w: Omega, colors: Tuple[str, str], cap: int,
+         listed: int = 0) -> Tuple[List[Point3], bool]:
+    """Walk from p, whose image by colors[0] is img, by colors[0], colors[1],
+    colors[0], ...; return the points from p on in walk order and whether
+    the walk came back to p (a cycle) rather than to a point the next color
+    fixes (a line end).  Raises Diverges past cap points, counting listed
+    points met before p."""
+    pts = [p]
+    a, b = colors
+    while not points_equal(img, pts[-1]):
+        if points_equal(img, p):
+            return pts, True
+        if listed + len(pts) >= cap:
+            raise Diverges(f"suborbit exceeded {cap} points")
+        pts.append(img)
+        a, b = b, a
+        img = apply(a, img, w)
+    return pts, False
 
 
 def suborbit(p: Point3, w: Omega, pair: str = "yz") -> Suborbit:
+    """The suborbit of p under the two colors of pair, each point once.
+
+    A cycle is listed in walk order from p, first color first; a line from
+    the end nearer to p (the first color's end on a tie), away from its
+    self-loop.
+    """
     i1, i2, ifix = _PAIRS[pair]
     c1, c2 = COLORS[i1], COLORS[i2]
     common = p[ifix]
@@ -340,46 +347,15 @@ def suborbit(p: Point3, w: Omega, pair: str = "yz") -> Suborbit:
             f"{pair}-suborbit is infinite: frozen coordinate is not of the "
             "form 2cos(pi*n/N) in range")
     n, length = frac.numerator, frac.denominator
-    pts = _walk(p, w, (c1, c2), cap=2 * length + 2)
-
-    loops = []  # (point index, color) of self-loops
-    for idx, q in enumerate(pts):
-        for c in (c1, c2):
-            if points_equal(apply(c, q, w), q):
-                loops.append((idx, c))
-
-    if not loops:
-        shape = "cycle"
-        assert len(pts) == 2 * length, (len(pts), length)
-        ordered = _order_walk(pts, w, pts[0], c1, c2)
-    else:
-        shape = "line"
-        assert len(loops) == 2 and len(pts) == length, (loops, len(pts), length)
-        start_idx, start_loop_color = min(loops)
-        start_color = c2 if start_loop_color == c1 else c1
-        ordered = _order_walk(pts, w, pts[start_idx], start_color,
-                              start_loop_color)
-    return Suborbit(pair, shape, ordered, length, common, n)
-
-
-def _order_walk(pts, w, start, first_color, second_color):
-    """List the suborbit points in alternating-walk order, each once."""
-    ordered = [start]
-    cur = start
-    col, other = first_color, second_color
-    guard = 0
-    while len(ordered) < len(pts):
-        guard += 1
-        assert guard <= 4 * len(pts) + 4
-        img = apply(col, cur, w)
-        if points_equal(img, cur):  # bounced off a line end
-            col, other = other, col
-            continue
-        if not any(points_equal(img, q) for q in ordered):
-            ordered.append(img)
-        cur = img
-        col, other = other, col
-    return tuple(ordered)
+    cap = 2 * length + 2
+    side1, closed = _ray(p, q1, w, (c1, c2), cap)
+    if closed:
+        assert len(side1) == 2 * length, (len(side1), length)
+        return Suborbit(pair, "cycle", tuple(side1), length, common, n)
+    side2, _ = _ray(p, q2, w, (c2, c1), cap, len(side1) - 1)
+    assert len(side1) + len(side2) - 1 == length, (len(side1), len(side2), length)
+    near, far = (side1, side2) if len(side1) <= len(side2) else (side2, side1)
+    return Suborbit(pair, "line", tuple(near[::-1] + far[1:]), length, common, n)
 
 
 def double_step(vals: Tuple[CosSum, CosSum], fixed: CosSum,

@@ -637,9 +637,10 @@ def full_search(
     The result list is sorted by (size, canonical key) and is identical
     for every thread count: work is split into fixed chunks merged in
     index order, and all decisions downstream of the float scan are
-    exact.  Every record passes verify_record, or ConsistencyError is
-    raised.  Arguments failing check_search_args, and a backend other than
-    None or "numpy", raise ValueError before anything is scanned.
+    exact.  Every record has the size of its float closure and passes
+    verify_record, or ConsistencyError is raised.  Arguments failing
+    check_search_args, and a backend other than None or "numpy", raise
+    ValueError before anything is scanned.
     """
 
     t0 = time.perf_counter()
@@ -718,10 +719,11 @@ def full_search(
         if rec is None:
             junk += 1
             continue
-        if rec.size <= 4:
-            tag, _ = classify_special(rec)
-            fam[tag] += 1
-            continue
+        if rec.size != fsz:
+            raise ConsistencyError(
+                f"exact closure disagrees with the float closure: class {cls} "
+                f"index {idx} closes at {rec.size} points, the scan gave {fsz}"
+            )
         if any(keys_equal(rec.canonical, r.canonical) for r in records):
             continue
         records.append(rec)
@@ -781,7 +783,8 @@ def golden_assignment(
     record.  A row goes to the one record matching it unless an earlier
     row took that record; otherwise it is ambiguous, or, with complete, a
     problem when no record matches it.  Records left without a row are
-    reported only when every row is settled.
+    reported only when every row is settled.  Problems count records
+    from 1.
     """
 
     used: Dict[int, int] = {}
@@ -791,7 +794,7 @@ def golden_assignment(
         if len(matches) == 1 and matches[0] not in used:
             used[matches[0]] = row.idx
         elif matches:
-            problems.append(f"row {row.idx}: ambiguous matches {matches}")
+            problems.append(f"row {row.idx}: ambiguous matches {[i + 1 for i in matches]}")
         elif complete:
             problems.append(f"row {row.idx}: no computed orbit matches")
     if not problems:

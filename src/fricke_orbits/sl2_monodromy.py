@@ -159,9 +159,6 @@ class Mat2:
     def trace(self) -> Scalar:
         return self.a + self.d
 
-    def det(self) -> Scalar:
-        return self.a * self.d - self.b * self.c
-
     @staticmethod
     def identity() -> "Mat2":
         one, zero = Fraction(1), Fraction(0)

@@ -156,10 +156,6 @@ class CosSum:
     def rational(q: Rational) -> "CosSum":
         return CosSum._canon({(0, 1): Fraction(q) / 2})
 
-    @staticmethod
-    def zero() -> "CosSum":
-        return CosSum._canon({})
-
     # -- ring structure -------------------------------------------------------
 
     def _coerce(self, other) -> Optional["CosSum"]:

@@ -9,7 +9,7 @@ import random
 
 from fractions import Fraction
 
-from fricke_orbits.cli import render_search, verify_records
+from fricke_orbits.cli import render_search
 from fricke_orbits.cosine_sums import canonicalize, enumerate_vanishing
 from fricke_orbits.fricke_action import (
     Omega,
@@ -34,6 +34,7 @@ from fricke_orbits.orbit_search import (
     close_orbit,
     full_search,
     get_dictionaries,
+    golden_assignment,
 )
 from fricke_orbits.parameter_maps import (
     apply_bt,
@@ -78,7 +79,7 @@ def test_criterion_01_full_search_reproduces_reference_table(search_result):
     """45 exceptional orbits; sizes, parameters and 4-w4 match exactly."""
     assert len(search_result.records) == 45
     assert sorted(r.size for r in search_result.records) == sorted(size_multiset())
-    _, diffs = verify_records(search_result.records, GOLDEN_ROWS)
+    _, diffs = golden_assignment(search_result.records, GOLDEN_ROWS)
     assert diffs == []
     assert search_result.threads == 1
     assert search_result.elapsed <= 1800  # single-threaded budget: 30 minutes

@@ -17,7 +17,6 @@ from fricke_orbits.cli import (
     main,
     render_search,
     value_obj,
-    verify_records,
 )
 from fricke_orbits.golden import GOLDEN_ROWS
 from fricke_orbits.trig_field import cos_value, from_rational
@@ -234,6 +233,23 @@ def test_main_maps_an_irreproducible_float_closure_to_exit_3(monkeypatch, capsys
 
     monkeypatch.setattr(_kernels, "close_float", one_point_more)
     _assert_internal_failure(capsys, ["search", "--threads", "1"])
+
+
+def test_main_maps_an_exact_closure_of_another_size_to_exit_3(monkeypatch, capsys):
+    # the exact closure of a candidate must have its float closure's size
+    _first_blocks_only(monkeypatch)
+    close = orbit_search.close_orbit
+
+    def one_point_fewer(*args, **kwargs):
+        rec = close(*args, **kwargs)
+        return None if rec is None else replace(rec, points=rec.points[:-1])
+
+    monkeypatch.setattr(orbit_search, "close_orbit", one_point_fewer)
+    assert main(["search", "--threads", "1"]) == 3
+    captured = capsys.readouterr()
+    # raised by the size check, before verify_record sees the short record
+    assert "exact closure disagrees with the float closure: class " in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -466,17 +482,20 @@ def test_golden_match_and_verify_records_agree(monkeypatch, golden_records, kind
             return False
         return True
 
-    used, diffs = verify_records(records, rows)
+    used, diffs = orbit_search.golden_assignment(records, rows)
     assert (diffs == []) == ok == matches(True)
     # complete=False forgives only rows that no record matches
     assert matches(False) == (ok or kind == "row-missing")
     if ok:
         assert used == {0: 1, 1: 2, 2: 3}
         assert orbit_search.golden_match(records) == [1, 2, 3]
+    if kind == "row-matched-twice":
+        # record positions count from 1, as in "computed orbit N" lines
+        assert diffs == ["row 1: ambiguous matches [1, 2]"]
 
 
 def test_verify_records_reports_excess_orbit(search_result):
-    _, diffs = verify_records(search_result.records, list(GOLDEN_ROWS)[:-1])
+    _, diffs = orbit_search.golden_assignment(search_result.records, list(GOLDEN_ROWS)[:-1])
     assert len(diffs) == 1
     assert diffs[0].startswith("computed orbit") and "matches no row" in diffs[0]
 

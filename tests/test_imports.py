@@ -1,5 +1,7 @@
 """Every name a module under src/ or tests/ imports is used in that module,
-and every private module-level name defined under src/ is read there.
+every private module-level name defined under src/ is read there, and
+every public upper-case constant defined under src/ is read under src/,
+tests/ or perfbench/.
 
 Package __init__ modules re-export on purpose and are left out, as are
 names listed in a module's __all__ and __future__ imports.
@@ -89,15 +91,11 @@ def _module_level_names(tree: ast.Module):
                         yield node.lineno, n.id
 
 
-def unread_private_names(sources: dict) -> list:
-    """(module, line, name) of each module-level _name that no module reads.
-
-    A name counts as read when it is loaded, loaded as an attribute
-    (``_kernels._TOL_VALUE``) or imported by name, in any of the sources.
-    """
-    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+def _read_names(trees) -> set:
+    """Names loaded, loaded as an attribute (``_kernels._TOL_VALUE``) or
+    imported by name in any of the trees."""
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for n in ast.walk(tree):
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
                 read.add(n.id)
@@ -105,11 +103,36 @@ def unread_private_names(sources: dict) -> list:
                 read.add(n.attr)
             elif isinstance(n, ast.alias):
                 read.add(n.name)
+    return read
+
+
+def unread_private_names(sources: dict) -> list:
+    """(module, line, name) of each module-level _name that no module reads.
+
+    A name counts as read when it is loaded, loaded as an attribute or
+    imported by name, in any of the sources.
+    """
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    read = _read_names(trees.values())
     return sorted(
         (mod, line, name)
         for mod, tree in trees.items()
         for line, name in _module_level_names(tree)
         if name.startswith("_") and not name.startswith("__") and name not in read
+    )
+
+
+def unread_constants(sources: dict, readers: dict) -> list:
+    """(module, line, name) of each public upper-case module-level name in
+    sources that neither sources nor readers read, read as in
+    unread_private_names."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    read = _read_names([*trees.values(), *map(ast.parse, readers.values())])
+    return sorted(
+        (mod, line, name)
+        for mod, tree in trees.items()
+        for line, name in _module_level_names(tree)
+        if name.isupper() and not name.startswith("_") and name not in read
     )
 
 
@@ -143,3 +166,29 @@ def test_no_unread_private_names():
         str(p.relative_to(ROOT)): p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))
     }
     assert unread_private_names(sources) == []
+
+
+def test_constant_checker_flags_only_unread_constants():
+    sources = {
+        "a": (
+            "LOCAL = 1\n"
+            "ATTR, UNREAD = 2, 3\n"
+            "IMPORTED: int = 4\n"
+            "_PRIVATE = 5\n"
+            "Mixed = 6\n"
+            "def f():\n"
+            "    INNER = 7\n"
+            "x = LOCAL\n"
+        ),
+    }
+    readers = {"t": "from a import IMPORTED\nimport a\na.ATTR\n"}
+    assert unread_constants(sources, readers) == [("a", 2, "UNREAD")]
+    assert unread_constants(sources, {}) == [("a", 2, "ATTR"), ("a", 2, "UNREAD"),
+                                             ("a", 3, "IMPORTED")]
+
+
+def test_no_unread_constants():
+    def texts(d):
+        return {str(p.relative_to(ROOT)): p.read_text() for p in sorted((ROOT / d).rglob("*.py"))}
+
+    assert unread_constants(texts("src"), {**texts("tests"), **texts("perfbench")}) == []
