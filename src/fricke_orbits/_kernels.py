@@ -39,21 +39,22 @@ are closed.  It works in stages on a shrinking set of seeds:
    on blocks of _NUMPY_BLOCK (row, last-axis value) pairs and marks the
    seeds, in index order, at most _NUMPY_BLOCK at a time: class 4 keeps
    about 0.2 % of its seeds, class 2 about 1.5 %.
-3. Grouping.  The first stage runs on blocks of _NUMPY_BLOCK values of
-   the last axis: _NUMPY_BLOCK // radix prefixes, or _NUMPY_BLOCK // 83
-   seed rows.  What it keeps, prefixes or seeds, is collected across
-   blocks, in index order; prefixes are expanded over the last axis (31
-   or 83 values), and the seeds are decoded in full, _NUMPY_BLOCK at a
-   time.
+3. Grouping.  The first stage runs on blocks of _NUMPY_BLOCK prefixes,
+   each decoded at one index, or of _NUMPY_BLOCK // 83 seed rows, each
+   solved for its 83 last-axis values.  What it keeps, prefixes or seeds,
+   is collected across blocks, in index order; prefixes are expanded over
+   the last axis (31 or 83 values), and the seeds are decoded in full,
+   _NUMPY_BLOCK at a time.
 4. Cayley seeds are counted on the expanded seeds.
 5. The shell checks run one at a time, most rejecting first, and the
-   seed columns are compacted after each one.  Class 1 leaves out its
-   first shell, whose images are s1 values by construction, and adds two
+   seed columns are compacted after each one.  Classes 1 and 3 add two
    third-shell checks: ayz, the z-image of (Xp, ay, Z), and bzx, the
-   x-image of (X, Yp, bz).
+   x-image of (X, Yp, bz).  Class 1 leaves out its first shell, whose
+   images are s1 values by construction.
 6. Cayley seeds are dropped from the candidates, which a lockstep
-   closure settles in batches of up to _LOCKSTEP_ROWS seeds: every seed
-   of a batch advances one BFS slot per numpy iteration, with the float
+   closure settles in batches of up to _LOCKSTEP_ROWS seeds: a seed whose
+   three images link back to it is a one-point orbit at once; every other
+   seed of a batch advances one BFS slot per numpy iteration, with the float
    operations of _close_pylist in the same order, so each gets the result
    the per-seed closure gives.  When a few dozen seeds are left, they
    are finished by _close_pylist.
@@ -78,8 +79,8 @@ without the exact confirmation pass.
 Why a check is necessary.  Let F_c(p) be the point p with coordinate c
 replaced by fl(w_c - p_c - p_a*p_b), the image the closure computes.  A
 check follows a chain of distinct moves c_1..c_k from the seed s_0 (k <= 2,
-and k = 3 for class 1's ayz and bzx): s_j = F_c_j(s_(j-1)), and tests v,
-the c_k coordinate of s_k.  Take a closure that accepts the seed, with
+and k = 3 for ayz and bzx, tested in classes 1 and 3): s_j =
+F_c_j(s_(j-1)), and tests v, the c_k coordinate of s_k.  Take a closure that accepts the seed, with
 points P[i] and neighbours N_c[i], and follow the same moves: i_0 = 0 and
 i_j = N_c_j[i_(j-1)].  Write d_j for the largest coordinate difference
 between P[i_j] and s_j, and B = 2 + eps.
@@ -100,8 +101,8 @@ between P[i_j] and s_j, and B = 2 + eps.
   point's loop (the closure's own tests); (1 + 2B)*eps, about 5*eps, for
   a link made from i_j.  F_c moves a difference d by at most (1 + |a| +
   |b| + d)*d: about 5*d at an ordinary point, (1 + B + V)*d, 17.1*d in
-  class 1, at a fixed point.  Each step adds a rounding error below 1e-13
-  (all values stay below 64).
+  classes 1 and 3, at a fixed point.  Each step adds a rounding error
+  below 1e-13 (all values stay below 64).
 - Depth.  d_1 <= eps, since the seed's slots are resolved from the seed.
   d_2 <= 5 + 5*1 = 10 eps, or eps if i_1 is a fixed point (d_1 = 0).
   d_3 <= 5 + 5*10 = 55 eps through ordinary points; entering a fixed
@@ -147,6 +148,8 @@ from __future__ import annotations
 import bisect
 import math
 import os
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, NamedTuple, Tuple
 
 import numpy as np
@@ -192,13 +195,16 @@ def backend_name() -> str:
     return "numpy"
 
 
-class ScanTables(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class ScanTables:
     """Float dictionaries and per-class seed columns.
 
     s1/s4: sorted dictionary values.  seeds[cls]: one float column per
     seed coordinate of LAYOUTS[cls], indexed by seed row.  skip1: the
     class-1 index of the all-zero configuration of the mirrored sign
-    chain, which the scan skips as a duplicate.
+    chain, which the scan skips as a duplicate.  The scan's lookups over
+    s1 and s4, s4 as a list and its difference join are built on first
+    use and kept for every later scan_chunk.
     """
 
     s1: np.ndarray
@@ -209,6 +215,22 @@ class ScanTables(NamedTuple):
     @property
     def dicts(self) -> Dict[str, np.ndarray]:
         return {"s1": self.s1, "s4": self.s4}
+
+    @cached_property
+    def look1(self) -> "_Lookup":
+        return _Lookup(self.s1)
+
+    @cached_property
+    def look4(self) -> "_Lookup":
+        return _Lookup(self.s4)
+
+    @cached_property
+    def s4list(self) -> list:
+        return self.s4.tolist()
+
+    @cached_property
+    def join(self) -> Tuple[np.ndarray, np.ndarray]:
+        return _difference_join(self.s4)
 
 
 # ---------------------------------------------------------------------------
@@ -486,11 +508,12 @@ _CHECKS = {
 
 # Checks per class, most rejecting first.  Class 1 leaves out the first
 # shell: its images are s1 values by construction, so those checks cannot
-# fail (tests/test_orbit_search.py proves it over the whole grid).
+# fail (tests/test_orbit_search.py proves it over the whole grid).  In
+# class 3, ayz rejects most of what the second shell passes.
 _ORDER = {
     1: ("bzx", "ayz", "cx", "bz", "az", "cy", "bx", "ay"),
     2: ("bz", "bx", "cx", "Zp", "cy", "Xp", "Yp", "ay", "az"),
-    3: ("ay", "bx", "cy", "cx", "bz", "az", "Xp", "Yp", "Zp"),
+    3: ("ayz", "bzx", "bx", "cx", "ay", "az", "cy", "bz", "Xp", "Yp", "Zp"),
     4: ("cy", "Yp", "bz", "ay", "az", "Xp", "Zp", "bx", "cx"),
 }
 
@@ -558,8 +581,7 @@ def _cayley(cols: _Cols, eps: float):
     return cay
 
 
-def _prefix_keep(cls: int, pref: np.ndarray, radix: int, t: ScanTables, eps: float,
-                 look1, look4):
+def _prefix_keep(cls: int, pref: np.ndarray, radix: int, t: ScanTables, eps: float):
     """Mask of the prefixes idx // radix whose seeds may pass the class's
     index filter and prefilter, or may be Cayley seeds.
 
@@ -572,7 +594,7 @@ def _prefix_keep(cls: int, pref: np.ndarray, radix: int, t: ScanTables, eps: flo
     names, drop = _PREFIX[cls]
     keep = np.ones(len(pref), bool)
     for name in names:
-        keep &= _check(cols, name, look4, eps, drop)
+        keep &= _check(cols, name, t.look4, eps, drop)
     # a Cayley seed has every weight within eps of 0
     cay = np.ones(len(pref), bool)
     for w in ("wx", "wy", "wz"):
@@ -581,7 +603,7 @@ def _prefix_keep(cls: int, pref: np.ndarray, radix: int, t: ScanTables, eps: flo
     keep |= cay
     if cls == 3:
         # the scan keeps a class-3 seed only if Zp is an s1 value
-        keep &= look1.near(cols["Zp"], eps)
+        keep &= t.look1.near(cols["Zp"], eps)
     return keep
 
 
@@ -637,7 +659,7 @@ def _difference_join(d):
     return diff[order], order // len(d)
 
 
-def _solve4(rows, t: ScanTables, eps: float, join):
+def _solve4(rows, t: ScanTables, eps: float):
     """Sorted flat indices of the seeds of class-4 rows `rows` (consecutive)
     that may pass both the Zp and the Yp check, or be Cayley seeds.
 
@@ -653,7 +675,7 @@ def _solve4(rows, t: ScanTables, eps: float, join):
     base = row["X"] + row["Y"] * row["Z"]
     tol_v = _TOL_VALUE * eps + _SOLVE_ROUND
     tol_f = _TOL_FIXED * eps + _SOLVE_ROUND
-    diffs, first = join
+    diffs, first = t.join
     # the two checks side by side: rows of Zp, then rows of Yp
     cols = []
     for name in ("Zp", "Yp"):
@@ -683,7 +705,7 @@ def _solve4(rows, t: ScanTables, eps: float, join):
     return rows[0] * n + np.flatnonzero(keep)
 
 
-def _solve2(rows, t: ScanTables, eps: float, look4: _Lookup, join):
+def _solve2(rows, t: ScanTables, eps: float):
     """Sorted flat indices of the seeds of class-2 rows `rows` (consecutive)
     that may pass both the Zp and the bx check, or be Cayley seeds, in
     index order, one array per run of rows of at most _NUMPY_BLOCK seeds.
@@ -706,14 +728,14 @@ def _solve2(rows, t: ScanTables, eps: float, look4: _Lookup, join):
     Y, Z, Yp = row["Y"], row["Z"], s4[None, :]
     tol_v = _TOL_VALUE * eps + _SOLVE_ROUND
     tol_f = _TOL_FIXED * eps + _SOLVE_ROUND
-    diffs, first = join
+    diffs, first = t.join
     q = (Yp - Y) / Z
     zp = Z + Y * q
     c = q + Z * (Y - Yp)
     dy = Yp - Y
     ranges = []
     for every, fixed, (lo, hi) in (
-        (look4.near(zp, tol_v) | (np.abs(zp - Z) <= tol_v),
+        (t.look4.near(zp, tol_v) | (np.abs(zp - Z) <= tol_v),
          np.abs(zp * Y - q - Y * Z) <= tol_f,
          _affine_window(s4, zp - Z, -dy, tol_f)),
         ((np.abs(c) <= tol_v) | (np.abs(c - q) <= tol_v),
@@ -768,7 +790,7 @@ _NUMPY_BLOCK = 1 << 15
 # Most seeds a lockstep batch closes at once.  The live arrays take 48
 # bytes per row and point slot.  Before the third-shell checks, class 1's
 # first block of 2^17 seeds sent about 32,000 candidates to the closure
-# (about 2,000 now, and class 3's about 12,000); closing them all at once
+# (about 2,000 now, and class 3's about 7,000); closing them all at once
 # took the benchmark's peak RSS from 65 to 107 MB, while 2,048 or 4,096
 # rows kept it at 65 MB, at the same speed.
 _LOCKSTEP_ROWS = 2048
@@ -790,22 +812,29 @@ def _close_lockstep(seeds: np.ndarray, look4: _Lookup, s4list, eps: float) -> np
     point within eps in all three coordinates (rejected if that slot is
     filled), else appended as a dictionary value (look4.near, the same
     two-neighbour test as bisect), else as a doubly-fixed point, else
-    rejected; an append at n >= CAP gives -1.  Finished rows are dropped,
-    the point width doubles as needed, and once at most _LOCKSTEP_HANDOFF
-    rows are live they are closed by _close_pylist from their start.
+    rejected; an append at n >= CAP gives -1.  A row whose three images
+    of the seed each lie within eps of the seed's own coordinate links all
+    three slots to the seed: it gets 1 before the loop.  Finished rows are
+    dropped, the point width doubles as needed, and once at most
+    _LOCKSTEP_HANDOFF rows are live they are closed by _close_pylist from
+    their start.
     """
 
     res = np.zeros(len(seeds), np.int64)
-    rid = np.arange(len(seeds))
-    ws = seeds[:, 3:].T
+    X, Y, Z, wx, wy, wz = seeds.T
+    one = (np.abs(X - (wx - X - Y * Z)) <= eps) & (np.abs(Y - (wy - Y - X * Z)) <= eps)
+    one &= np.abs(Z - (wz - Z - X * Y)) <= eps
+    res[one] = 1
+    rid = np.flatnonzero(~one)
+    ws = seeds[rid, 3:].T
     # P[c, r, j] is coordinate c of point j of row r, NaN where there is no
     # point, so that no link test matches it; N[r, j, c] is the c-neighbour
     # of that point, -1 while unknown, and N[r].ravel()[s] slot s.
-    P = np.full((3, len(seeds), 4), np.nan)
-    P[:, :, 0] = seeds[:, :3].T
-    N = np.full((len(seeds), 4, 3), -1, np.int64)
-    n = np.ones(len(seeds), np.int64)
-    s = np.zeros(len(seeds), np.int64)
+    P = np.full((3, len(rid), 4), np.nan)
+    P[:, :, 0] = seeds[rid, :3].T
+    N = np.full((len(rid), 4, 3), -1, np.int64)
+    n = np.ones(len(rid), np.int64)
+    s = np.zeros(len(rid), np.int64)
     while len(rid) > _LOCKSTEP_HANDOFF:
         # n < width in every row, so slot s <= 3*n is in range, and the
         # slots from 3*n on are unknown, which stops the cursor there
@@ -874,22 +903,21 @@ def scan_chunk(cls: int, start: int, stop: int, t: ScanTables, eps: float, backe
 
     backend must be "numpy", the one scan there is; anything else raises
     ValueError.  The stages are those of the module docstring.  The first
-    stage runs on blocks of _NUMPY_BLOCK values of the last axis: as many
-    prefixes idx // radix (classes 1 and 3, radix the last axis) or seed
-    rows idx // radix (classes 2 and 4, radix the seeds of a row).  What it
-    keeps, prefixes or flat indices, is gathered across blocks and
-    expanded, decoded and checked _NUMPY_BLOCK seeds at a time, so that no
-    stage holds more than _NUMPY_BLOCK seeds; the seeds are cut to
-    [start, stop) there.  The candidates are gathered in index order
-    and closed _LOCKSTEP_ROWS at a time, each with the result the per-seed
-    closure gives, so the output is that of the full conjunction evaluated
-    on every seed, and does not depend on how a range is split into calls.
+    stage runs on blocks of _NUMPY_BLOCK prefixes idx // radix (classes 1
+    and 3, radix the last axis) or of the seed rows idx // radix holding
+    _NUMPY_BLOCK (row, last-axis value) pairs (classes 2 and 4, radix the
+    seeds of a row).  What it keeps, prefixes or flat indices, is gathered
+    across blocks and expanded, decoded and checked _NUMPY_BLOCK seeds at a
+    time, so that no stage holds more than _NUMPY_BLOCK seeds; the seeds
+    are cut to [start, stop) there.  The candidates are gathered in index
+    order and closed _LOCKSTEP_ROWS at a time, each with the result the
+    per-seed closure gives, so the output is that of the full conjunction
+    evaluated on every seed, and does not depend on how a range is split
+    into calls.
     """
 
     if backend != "numpy":
         raise ValueError("unknown backend %r" % backend)
-    look1, look4 = _Lookup(t.s1), _Lookup(t.s4)
-    s4list = t.s4.tolist()
     out_idx = []
     out_size = []
     nproc = max(0, stop - start) - int(cls == 1 and start <= t.skip1 < stop)
@@ -900,7 +928,7 @@ def scan_chunk(cls: int, start: int, stop: int, t: ScanTables, eps: float, backe
 
     def close(m):
         nonlocal pend_idx, pend, ncap
-        res = _close_lockstep(pend[:m], look4, s4list, eps)
+        res = _close_lockstep(pend[:m], t.look4, t.s4list, eps)
         ncap += int(np.count_nonzero(res == -1))
         out_idx.extend(pend_idx[:m][res > 0].tolist())
         out_size.extend(res[res > 0].tolist())
@@ -914,11 +942,13 @@ def scan_chunk(cls: int, start: int, stop: int, t: ScanTables, eps: float, backe
         idx = idx[np.searchsorted(idx, start):np.searchsorted(idx, stop)]
         if cls == 1:
             idx = idx[idx != t.skip1]
+        if not len(idx):
+            return
         cols = _Cols(zip(_SEED, _decode_vec(cls, idx, t)))
         cols["idx"] = idx
         ncay += int(np.count_nonzero(_cayley(cols, eps)))
         for name in _ORDER[cls]:
-            cols = cols.take(_check(cols, name, look4, eps))
+            cols = cols.take(_check(cols, name, t.look4, eps))
         cols = cols.take(~_cayley(cols, eps))
         pend_idx = np.concatenate([pend_idx, cols["idx"]])
         pend = np.concatenate([pend, np.stack([cols[k] for k in _SEED], axis=1)])
@@ -927,27 +957,27 @@ def scan_chunk(cls: int, start: int, stop: int, t: ScanTables, eps: float, backe
 
     axis = len(t.dicts[LAYOUTS[cls].axes[-1][1]])
     if cls in _PREFIX:
-        radix, group = axis, _NUMPY_BLOCK // axis
+        # a prefix is decoded once, at its first index
+        radix, group, step = axis, _NUMPY_BLOCK // axis, _NUMPY_BLOCK
 
         def first_stage(pref):
-            yield pref[_prefix_keep(cls, pref, radix, t, eps, look1, look4)]
+            yield pref[_prefix_keep(cls, pref, radix, t, eps)]
     else:
-        radix, group = _row_size(cls, t), _NUMPY_BLOCK
-        join = _difference_join(t.s4)
+        # a row holds `axis` (row, last-axis value) pairs
+        radix, group, step = _row_size(cls, t), _NUMPY_BLOCK, _NUMPY_BLOCK // axis
 
         def first_stage(rows):
             if cls == 4:
-                yield _solve4(rows, t, eps, join)
+                yield _solve4(rows, t, eps)
             else:
-                yield from _solve2(rows, t, eps, look4, join)
+                yield from _solve2(rows, t, eps)
 
-    # a first-stage block holds _NUMPY_BLOCK values of the last axis
-    first, last, step = start // radix, -(-stop // radix), _NUMPY_BLOCK // axis
+    first, last = start // radix, -(-stop // radix)
     kept = np.empty(0, np.int64)
     for a in range(first, last, step):
         for part in first_stage(np.arange(a, min(last, a + step), dtype=np.int64)):
             kept = np.concatenate([kept, part])
-            if len(kept) >= group:
+            while len(kept) >= group:
                 expand(kept[:group])
                 kept = kept[group:]
     expand(kept)

@@ -28,8 +28,6 @@ from __future__ import annotations
 import itertools
 import math
 
-import mpmath
-
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -202,7 +200,9 @@ def canonical_key(points: Sequence[Point3], w: Omega) -> Tuple[CosSum, ...]:
     neighbouring pair gives them one integer rank: ranks compare exactly as
     the values do.  Sorting points by rank tuples (stably, as the exact sort
     did) and taking the first minimal rank tuple in all_equivalences() order
-    therefore picks the image the exact lexicographic comparison picks.  Its
+    therefore picks the image the exact lexicographic comparison picks.
+    Every image starts with w4 and its signed w triple, so only the images
+    whose triple ranks least have their points ranked and sorted.  Its
     entries are the original objects for sign +1 and one cached -v for
     sign -1, which has the terms of v * -1, so the key is the same term for
     term as building every image and comparing entry by entry.
@@ -223,15 +223,19 @@ def canonical_key(points: Sequence[Point3], w: Omega) -> Tuple[CosSum, ...]:
     def signed(v: CosSum, s: int) -> CosSum:
         return v if s == 1 else negs[id(v)]
 
+    prefix = {
+        (perm, signs): [rank[id(signed(ws[perm[i]], signs[i]))] for i in range(3)]
+        for perm, signs in all_equivalences()
+    }
+    least = min(prefix.values())
     best = best_t = None
-    for perm, signs in all_equivalences():
+    for (perm, signs), head in prefix.items():
+        if head != least:
+            continue
         tp = [tuple(rank[id(signed(p[perm[i]], signs[i]))] for i in range(3))
               for p in points]
         idx = sorted(range(len(points)), key=tp.__getitem__)
-        cand = [rank[id(w.w4)]]
-        cand.extend(rank[id(signed(ws[perm[i]], signs[i]))] for i in range(3))
-        for j in idx:
-            cand.extend(tp[j])
+        cand = [c for j in idx for c in tp[j]]
         if best is None or cand < best:
             best, best_t = cand, (perm, signs, idx)
     perm, signs, idx = best_t
@@ -275,6 +279,8 @@ def cosine_angle(v: CosSum, max_den: int = PERIOD_CAP) -> Optional[Fraction]:
     decimal digits and then confirmed exactly, so limited precision can only
     yield a None for a denominator far beyond any finite suborbit in range.
     """
+    import mpmath  # on first use, as in CosSum.mp_value
+
     fv = v.float_value()
     if abs(fv) >= 2 - 1e-6:
         if (v - from_rational(2)).is_zero() or (v + from_rational(2)).is_zero():

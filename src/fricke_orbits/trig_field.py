@@ -63,7 +63,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
-import mpmath
 import numpy as np
 
 Rational = Union[int, Fraction]
@@ -291,6 +290,10 @@ class CosSum:
 
     def mp_value(self, dps: int = 50):
         """High-precision evaluation (mpmath real)."""
+        # imported on first use: the import takes about 3.7 MB, and the
+        # scan and the exact decode never evaluate at high precision
+        import mpmath
+
         with mpmath.workdps(dps):
             total = mpmath.mpf(0)
             for (num, den), c in self.terms:
@@ -620,6 +623,8 @@ def compare(a: CosSum, b: CosSum) -> int:
     d = a - b
     if d.is_zero():
         return 0
+    import mpmath  # on first use, as in CosSum.mp_value
+
     for dps in (60, 120, 240):
         v = d.mp_value(dps)
         if abs(v) > mpmath.mpf(10) ** (-(dps - 10)):

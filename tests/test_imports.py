@@ -1,13 +1,16 @@
 """Every name a module under src/ or tests/ imports is used in that module,
 every private module-level name defined under src/ is read there, and
 every public upper-case constant defined under src/ is read under src/,
-tests/ or perfbench/.
+tests/ or perfbench/.  Importing the package leaves mpmath unloaded.
 
 Package __init__ modules re-export on purpose and are left out, as are
 names listed in a module's __all__ and __future__ imports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -192,3 +195,13 @@ def test_no_unread_constants():
         return {str(p.relative_to(ROOT)): p.read_text() for p in sorted((ROOT / d).rglob("*.py"))}
 
     assert unread_constants(texts("src"), {**texts("tests"), **texts("perfbench")}) == []
+
+
+def test_package_import_leaves_mpmath_unloaded():
+    # mpmath takes about 3.7 MB of memory; only the high-precision paths
+    # (CosSum.mp_value, compare on a float tie, cosine_angle) import it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys; import fricke_orbits.cli, fricke_orbits.orbit_search; "
+            "sys.exit('mpmath' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -645,6 +645,10 @@ def test_close_float_worked_example():
     (3, 30 * 213559 - 71_201, 30 * 213559 + 40_000),
     (1, 1_707_090, 1_707_125),
     (3, 1_000_005, 1_000_070),
+    # class 3's first seed row, Y = Z = 0, sends the most seeds to the
+    # closure; a range that crosses its first 131,072-config block
+    (3, 0, 40_000),
+    (3, 111_072, 151_072),
     (1, 0, 0),
     (2, 0, 0),
     (3, 0, 0),
@@ -720,7 +724,7 @@ def test_scan_matches_per_seed_reference_across_eps(cls, start, stop, eps):
 @pytest.mark.parametrize("cls", [1, 2, 3])
 def test_numpy_scan_matches_per_seed_closure_on_heavy_blocks(cls, monkeypatch):
     # the first 2^17 seeds of classes 1 and 3 send the most candidates to
-    # the closure (class 1: about 2,000, class 3: about 12,000), so class 3
+    # the closure (class 1: about 2,000, class 3: about 7,000), so class 3
     # fills several lockstep batches, and both reach the hand-off to the
     # per-seed closure; class 2's first rows have Y = 0, where Zp = Z is a
     # link for every X, so its solve stage keeps 63,022 of those seeds, two
@@ -739,6 +743,42 @@ def test_numpy_scan_matches_per_seed_closure_on_heavy_blocks(cls, monkeypatch):
     assert sum(rows) > least
 
 
+def test_class3_third_shell_checks_drop_only_rejected_seeds(monkeypatch):
+    # ayz and bzx cut the closure candidates of class 3's first block of
+    # 131,072 configurations from about 12,400 to about 7,000, and the scan
+    # output is what the second-shell checks alone give
+    rows = []
+    lockstep = _kernels._close_lockstep
+    monkeypatch.setattr(_kernels, "_close_lockstep",
+                        lambda seeds, *a: rows.append(len(seeds)) or lockstep(seeds, *a))
+    out = _kernels.scan_chunk(3, 0, 1 << 17, KT, EPS, "numpy")
+    third = sum(rows)
+    rows.clear()
+    second = tuple(n for n in _kernels._ORDER[3] if n not in ("ayz", "bzx"))
+    monkeypatch.setitem(_kernels._ORDER, 3, second)
+    assert _kernels.scan_chunk(3, 0, 1 << 17, KT, EPS, "numpy") == out
+    assert len(out[0]) > 100
+    assert third <= 7_100 < 12_000 < sum(rows)
+
+
+def test_scan_builds_its_lookups_once_per_table_set(monkeypatch):
+    # the lookups, the s4 list and the difference join are built on a
+    # table set's first scan and kept for every later one
+    t = _kernels.ScanTables(KT.s1, KT.s4, KT.seeds, KT.skip1)
+    built = []
+    for name in ("_Lookup", "_difference_join"):
+        make = getattr(_kernels, name)
+        monkeypatch.setattr(_kernels, name,
+                            lambda d, name=name, make=make: built.append(name) or make(d))
+    for cls in (1, 2, 3, 4):
+        _kernels.scan_chunk(cls, 0, 20_000, t, EPS, "numpy")
+    assert sorted(built) == ["_Lookup", "_Lookup", "_difference_join"]
+    for cls in (1, 2, 3, 4):
+        assert _kernels.scan_chunk(cls, 20_000, 40_000, t, EPS, "numpy") == _per_seed_reference(
+            cls, 20_000, 40_000)
+    assert len(built) == 3
+
+
 def _prefix_radix(cls):
     return len(KT.dicts[_kernels.LAYOUTS[cls].axes[-1][1]])
 
@@ -746,10 +786,9 @@ def _prefix_radix(cls):
 def _solve_stage(cls, rows, t=KT, eps=EPS):
     """The flat indices the solve stage of class 2 or 4 keeps of `rows`."""
 
-    join = _kernels._difference_join(t.s4)
     if cls == 4:
-        return _kernels._solve4(rows, t, eps, join)
-    return np.concatenate(list(_kernels._solve2(rows, t, eps, _kernels._Lookup(t.s4), join)))
+        return _kernels._solve4(rows, t, eps)
+    return np.concatenate(list(_kernels._solve2(rows, t, eps)))
 
 
 @pytest.mark.parametrize("cls", [1, 2, 3, 4])
@@ -763,8 +802,7 @@ def test_scan_does_not_depend_on_how_a_range_is_split(cls):
         radix = _prefix_radix(cls)
         group = _kernels._NUMPY_BLOCK // radix
         pref = np.arange(start // radix, stop // radix)
-        kept = pref[_kernels._prefix_keep(cls, pref, radix, KT, EPS, _kernels._Lookup(KT.s1),
-                                          _kernels._Lookup(KT.s4))]
+        kept = pref[_kernels._prefix_keep(cls, pref, radix, KT, EPS)]
     else:
         # a unit is a seed row: 6,889 seeds in class 2, 83 in class 4
         radix = _kernels._row_size(cls, KT)
@@ -1140,6 +1178,34 @@ def test_lockstep_closure_mixed_batch(monkeypatch):
         72, 72, 72, 72,
     ]
     assert got[-1] == 5
+
+
+def test_lockstep_closure_one_point_orbits(monkeypatch):
+    # A seed whose three images each lie within eps of its own coordinate
+    # is a one-point orbit: class 2's seeds with Yp = Y, and constructed
+    # seeds with one image 0.9*eps off.  Settled before the loop, none is
+    # handed to _close_pylist.  With one image 1.1*eps off, the closure
+    # goes on and rejects.
+    scan = _kernels.scan_chunk(2, 0, 30_000, KT, EPS, "numpy")
+    ones = _seed_rows([(2, i) for i, n in zip(scan[0], scan[1]) if n == 1][:5])
+    X, Y, Z = KT.s4[60], -KT.s4[10], KT.s4[50]
+    fixed = np.array([X, Y, Z, X + X + Y * Z, Y + Y + X * Z, Z + Z + X * Y])
+    near, off = [fixed], []
+    for c in range(3):
+        for d, rows in ((0.9, near), (-0.9, near), (1.1, off)):
+            seed = fixed.copy()
+            seed[3 + c] += d * EPS
+            rows.append(seed)
+    handed = []
+    pylist = _kernels._close_pylist
+    monkeypatch.setattr(_kernels, "_close_pylist", lambda *a: handed.append(a) or pylist(*a))
+    got = _kernels._close_lockstep(np.concatenate([ones, near]), _kernels._Lookup(KT.s4),
+                                   KT.s4.tolist(), EPS)
+    assert got.tolist() == [1] * 12 and not handed
+    monkeypatch.undo()
+    got = _lockstep_results(np.concatenate([ones, _in_lockstep(near), _in_lockstep(off)]))
+    copies = _kernels._LOCKSTEP_HANDOFF + 1
+    assert got == [1] * (5 + 7 * copies) + [0] * (3 * copies)
 
 
 def test_lockstep_closure_link_into_filled_slot():
