@@ -367,7 +367,7 @@ def _published_related(cands: Sequence[Theta], row: GoldenRow, w: Omega) -> bool
         coords = [a[perm[i]] if signs[i] > 0 else 1 - a[perm[i]] for i in range(3)]
         cand = Theta(coords[0], coords[1], coords[2], ainf)
         cw = omega_from_theta(cand)
-        if all((u - v).is_zero() for u, v in zip(cw, w)):
+        if cw == w:
             if cand in cands or d4_related(cand, cands[0]):
                 return True
     return False
@@ -423,7 +423,7 @@ def cmd_bench(cfg: RunConfig, span: int) -> int:
         _kernels.scan_chunk(cls, 0, n, kt, cfg.eps, backend)
         dt = time.perf_counter() - t0
         total += dt
-        per_class.append(f"class{cls}={1e9 * dt / max(n, 1):.0f}ns/cfg")
+        per_class.append(f"class{cls}={1e9 * dt / n:.0f}ns/cfg")
     _emit(f"{backend}: total={total:.2f}s " + " ".join(per_class) + "\n", cfg.out)
     return 0
 
@@ -439,6 +439,13 @@ def _rational(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+
+
+def _count(text: str) -> int:
+    """argparse type of a count: a positive integer, else a usage error."""
+    if not (text.isdecimal() and int(text) > 0):
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return int(text)
 
 
 def _rationals(text: str) -> List[Fraction]:
@@ -479,14 +486,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("cosine", parents=[out], help="vanishing cosine sums")
     c.add_argument("--n", type=int, required=True, help="tuple length (2-6)")
-    c.add_argument("--dens", type=int, default=None,
+    c.add_argument("--dens", type=_count, default=None,
                    help="use all divisors of this number as denominators")
-    c.add_argument("--max-den", type=int, default=None,
+    c.add_argument("--max-den", type=_count, default=None,
                    help="use all denominators up to this bound")
 
     t = sub.add_parser("theta", parents=[out], help="recover theta for an orbit")
     t.add_argument("--orbit", type=int, required=True)
-    t.add_argument("--max-den", type=int, default=30)
+    t.add_argument("--max-den", type=_count, default=30)
 
     y = sub.add_parser("cayley", parents=[out], help="orbit on the vanishing-parameter surface")
     y.add_argument("--ry", type=_rational, required=True, help="rational angle, e.g. 1/3")
@@ -498,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="four comma-separated rationals")
 
     n = sub.add_parser("bench", parents=[eps, out], help="time the float scan per class")
-    n.add_argument("--span", type=int, default=1 << 17,
+    n.add_argument("--span", type=_count, default=1 << 17,
                    help="configurations per class (default 131072)")
 
     return ap

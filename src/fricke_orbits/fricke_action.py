@@ -33,14 +33,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .trig_field import (
-    ORDER_TIE_EPS,
-    CosSum,
-    compare,
-    compare_tuples,
-    cos_value,
-    from_rational,
-)
+from .trig_field import CosSum, compare, cos_value, from_rational, separated
 
 Point3 = Tuple[CosSum, CosSum, CosSum]
 
@@ -114,16 +107,12 @@ def omega_of_traces(px, py, pz, pinf) -> Omega:
 
 
 def points_equal(p: Point3, q: Point3) -> bool:
-    """Exact equality of points, separated on cached floats first.
-
-    A coordinate pair whose cached floats differ by more than ORDER_TIE_EPS
-    is unequal, by the float error bound compare's fast path rests on; only
-    pairs inside that band with different terms are decided exactly.
-    """
-    for a, b in zip(p, q):
-        if abs(a._float - b._float) > ORDER_TIE_EPS:
-            return False
-    return all(a.terms == b.terms or (a - b).is_zero() for a, b in zip(p, q))
+    """Exact equality of points: one float pass over all three coordinate
+    pairs first, so a separated pair anywhere rejects before any exact
+    work, then == on each pair."""
+    if any(separated(a, b) for a, b in zip(p, q)):
+        return False
+    return all(a == b for a, b in zip(p, q))
 
 
 class PointSet:
@@ -217,7 +206,7 @@ def canonical_key(points: Sequence[Point3], w: Omega) -> Tuple[CosSum, ...]:
     rank = {id(order[0]): 0}
     r = 0
     for prev, v in zip(order, order[1:]):
-        r += compare(prev, v) != 0
+        r += prev != v
         rank[id(v)] = r
 
     def signed(v: CosSum, s: int) -> CosSum:
@@ -246,7 +235,8 @@ def canonical_key(points: Sequence[Point3], w: Omega) -> Tuple[CosSum, ...]:
 
 
 def keys_equal(a: Sequence[CosSum], b: Sequence[CosSum]) -> bool:
-    return len(a) == len(b) and compare_tuples(a, b) == 0
+    # lengths first: tuple == would compare the entries before the lengths
+    return len(a) == len(b) and all(x == y for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -275,21 +265,16 @@ class Diverges(RuntimeError):
 def cosine_angle(v: CosSum, max_den: int = PERIOD_CAP) -> Optional[Fraction]:
     """Return n/N in (0, 1) with v = 2cos(pi*n/N), or None.
 
-    Candidate fractions come from the float arccos; each is screened at 60
-    decimal digits and then confirmed exactly, so limited precision can only
-    yield a None for a denominator far beyond any finite suborbit in range.
+    Candidate fractions come from the float arccos; each is tested with ==,
+    whose float separation rejects a wrong candidate before any exact work,
+    so limited precision can only yield a None for a denominator far beyond
+    any finite suborbit in range.
     """
-    import mpmath  # on first use, as in CosSum.mp_value
-
     fv = v.float_value()
-    if abs(fv) >= 2 - 1e-6:
-        if (v - from_rational(2)).is_zero() or (v + from_rational(2)).is_zero():
-            return None
-    if abs(fv) >= 2:
+    if abs(fv) >= 2 or v == 2 or v == -2:
         return None
     approx = math.acos(max(-1.0, min(1.0, fv / 2))) / math.pi
     seen = set()
-    mpv = None
     for den in (max_den, 5040, 144, 24):
         if den > max_den:
             continue
@@ -297,15 +282,7 @@ def cosine_angle(v: CosSum, max_den: int = PERIOD_CAP) -> Optional[Fraction]:
         if q in seen or not 0 < q < 1:
             continue
         seen.add(q)
-        # cheap high-precision screen keeps wrong large-denominator
-        # candidates away from the exact cyclotomic check
-        if mpv is None:
-            mpv = v.mp_value(60)
-        with mpmath.workdps(60):
-            cand = 2 * mpmath.cos(mpmath.pi * q.numerator / q.denominator)
-            if abs(mpv - cand) > mpmath.mpf(10) ** -50:
-                continue
-        if (v - cos_value(q.numerator, q.denominator)).is_zero():
+        if v == cos_value(q):
             return q
     return None
 
@@ -384,9 +361,8 @@ def closed_form(fixed: CosSum, w1: CosSum, w2: CosSum,
     in k.
     """
     f = fixed
-    two = from_rational(2)
-    if (f - two).is_zero() or (f + two).is_zero():
-        sign = 1 if (f - two).is_zero() else -1
+    if f == 2 or f == -2:
+        sign = 1 if f == 2 else -1
         wp_a = (w1 + sign * w2) * Fraction(1, 8)
         wm_a = w1 - sign * w2
         wp_b = (w2 + sign * w1) * Fraction(1, 8)
@@ -399,9 +375,11 @@ def closed_form(fixed: CosSum, w1: CosSum, w2: CosSum,
         bk = alpha * (sign * 2 * k) + beta * (1 + 2 * k) + part_b
         return ak, bk
 
-    denom = from_rational(4) - f * f
-    ca = (w1 * 2 - f * w2) / denom
-    cb = (w2 * 2 - f * w1) / denom
+    # one reciprocal for both: from_rational(1) / denom keeps a rational
+    # denom on its rational path and inverts any other once
+    recip = from_rational(1) / (from_rational(4) - f * f)
+    ca = (w1 * 2 - f * w2) * recip
+    cb = (w2 * 2 - f * w1) * recip
     alpha = a0 - ca
     beta = b0 - cb
 
@@ -441,21 +419,17 @@ def suborbit_parity_checks(sub: Suborbit, w: Omega) -> bool:
     for _ in range(2 * N):
         seq.append(double_step(seq[-1], f, w1, w2))
 
-    two = from_rational(2)
-    p_plus = (w1 + w2) / (two + f)
-    p_minus = (w1 - w2) / (two - f)
+    p_plus = (w1 + w2) / (2 + f)
+    p_minus = (w1 - w2) / (2 - f)
     for k in range(N):
         ak, bk = seq[k]
         if N % 2 == 0:
             a2, b2 = seq[k + N // 2]
-            if not (ak + a2 - p_plus - p_minus).is_zero():
-                return False
-            if not (bk + b2 - p_plus + p_minus).is_zero():
+            if ak + a2 != p_plus + p_minus or bk + b2 != p_plus - p_minus:
                 return False
         elif n % 2 == 0:
-            if not (ak + seq[k + (N - 1) // 2][1] - p_plus).is_zero():
+            if ak + seq[k + (N - 1) // 2][1] != p_plus:
                 return False
-        else:
-            if not (ak - seq[k + (N - 1) // 2][1] - p_minus).is_zero():
-                return False
+        elif ak - seq[k + (N - 1) // 2][1] != p_minus:
+            return False
     return True

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .fricke_action import COLORS, Point3, cosine_angle, from_rational
+from .fricke_action import COLORS, Point3, cosine_angle
 from .orbit_search import OrbitRecord, check_involutions, component_labels, verify_record
 
 # DOT rendering constants: one fixed color per generator.
@@ -162,9 +162,9 @@ def angle_label(v) -> str:
     fall back to a short decimal so every vertex still gets a label.
     """
 
-    if (v - from_rational(2)).is_zero():
+    if v == 2:
         return "0"
-    if (v + from_rational(2)).is_zero():
+    if v == -2:
         return "1"
     fr = cosine_angle(v)
     if fr is not None:

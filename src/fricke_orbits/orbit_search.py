@@ -375,7 +375,7 @@ def close_orbit(
             good = True
             if restrict_to_dictionary:
                 k = match_dictionary(v.float_value(), s4f, EPS)
-                good = k is not None and (v - s4vals[k].value).is_zero()
+                good = k is not None and v == s4vals[k].value
                 if good:
                     v = s4vals[k].value
                     q = q[:c] + (v,) + q[c + 1:]
@@ -514,13 +514,13 @@ def classify_special(rec: OrbitRecord) -> Optional[Tuple[str, Dict[str, CosSum]]
         i0 = centers[0]
         links = [c for c in range(3) if nb[c][i0] != i0]
         val = ws[links[0]]
-        if not (val - ws[links[1]]).is_zero():
+        if val != ws[links[1]]:
             raise ValueError("3-point record with unequal leaf parameters")
         return "III", {"omega": val}
     centers = [i for i in range(n) if degree[i] == 3]
     if len(centers) != 1 or sorted(degree) != [1, 1, 1, 3]:
         raise ValueError("4-point record is not a 3-leaf star")
-    if not ((ws[0] - ws[1]).is_zero() and (ws[0] - ws[2]).is_zero()):
+    if not ws[0] == ws[1] == ws[2]:
         raise ValueError("4-point record with unequal parameters")
     return "IV", {"omega": ws[0]}
 
@@ -760,14 +760,14 @@ def full_search(
 def _matches_row(rec: OrbitRecord, row) -> bool:
     if rec.size != row.size:
         return False
-    if not (rec.omega.w4 - row.omega4).is_zero():
+    if rec.omega.w4 != row.omega4:
         return False
     gw = Omega(row.omega[0], row.omega[1], row.omega[2], row.omega4)
     rep = row.rep_point
     rws = (rec.omega.wx, rec.omega.wy, rec.omega.wz)
     for t in all_equivalences():
         tp, tw = equiv_transform(t, rep, gw)
-        if all((a - b).is_zero() for a, b in zip((tw.wx, tw.wy, tw.wz), rws)):
+        if tw[:3] == rws:
             if any(points_equal(tp, p) for p in rec.points):
                 return True
     return False

@@ -69,12 +69,12 @@ def omega_from_theta(t: Theta) -> Omega:
 def omega_equivalent(a: Omega, b: Omega) -> bool:
     """Same parameters up to coordinate permutations and even sign flips."""
 
-    if not (a.w4 - b.w4).is_zero():
+    if a.w4 != b.w4:
         return False
     zero3 = (from_rational(0),) * 3
     for t in all_equivalences():
         _, wa = equiv_transform(t, zero3, a)
-        if all((u - v).is_zero() for u, v in zip(wa[:3], b[:3])):
+        if wa[:3] == b[:3]:
             return True
     return False
 
@@ -101,7 +101,7 @@ def xi_cubic(w: Omega) -> Tuple[CosSum, CosSum, CosSum]:
 
 def xi_root_check(w: Omega, xi: CosSum) -> bool:
     a, b, c = xi_cubic(w)
-    return (xi * xi * xi - a * xi * xi + b * xi - c).is_zero()
+    return xi * xi * xi - a * xi * xi + b * xi == c
 
 
 def xi_roots(t: Theta) -> Tuple[CosSum, CosSum, CosSum]:
@@ -260,9 +260,7 @@ def d4_related(a: Theta, b: Theta) -> bool:
     """
 
     va, vb = _p_variants(a), _p_variants(b)
-    return any(
-        compare_tuples(ca, cb) == 0 for ca in va for cb in vb
-    )
+    return any(ca == cb for ca in va for cb in vb)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +316,7 @@ def theta_candidates_for_omega(w: Omega, den_bound: int = 30) -> List[Theta]:
     for ix, iy, iz, iinf in sorted(hits):
         quad = (angles[ix], angles[iy], angles[iz], angles[iinf])
         cw = omega_of_traces(*(cos_value(q) for q in quad))
-        if not all((a - b).is_zero() for a, b in zip(cw, w)):
+        if cw != w:
             continue
         mirrors = [
             (q,) if q == 0 else ((q,) if q == 1 else (q, 2 - q)) for q in quad

@@ -15,7 +15,7 @@ each result k mod 2L into [0, L] by k -> 2L - k, and reduces k/L by one
 gcd; its coefficients are summed as integers over one common denominator.
 
 The term basis is NOT linearly independent (2cos(pi/5) - 2cos(2pi/5) = 1), so
-structural comparison is meaningless.  Equality is decided by is_zero, which
+structural comparison is meaningless.  Equality is decided exactly: is_zero
 embeds the value into Q(zeta) for a primitive n-th root of unity, n = 2L with
 L the lcm of the denominators, and takes the remainder of the exponent
 polynomial modulo the n-th cyclotomic polynomial Phi_n.  Phi_n is the minimal
@@ -49,8 +49,21 @@ The remainder is computed without a dense division by Phi_n:
   2**62, and goes on from the same column on exact Python ints
   (dtype=object) the first time the bound cannot be proved.
 
-Doubles are used as a fast path only: every decision that matters is either
-confirmed exactly or separated by a proven gap.
+Doubles are a fast path only, under one proven bound.  A value caches
+_float, the double sum over its terms of c * 2.0 * cos(pi*num/den).  With
+u = 2**-53, one term's error is at most 2u|c| times 1 (the correctly
+rounded c.numerator / c.denominator) + 3pi (math.pi*num/den rounds three
+times; num, den < 2**53 convert exactly) + 2 (libm's cos, ASSUMED within 1
+ulp, glibc's documented bound: the one assumption) + 1 (the product),
+below 2u|c|*13.5.  Recursive summation from 0.0 adds (n - 1)*u times the
+sum of the n |terms| (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., ch. 4), so |_float - v| <= 2**-52 * (n + 16) * sum|c|,
+which float_error returns; the slack of 3.5 covers the second-order terms
+and the bound's own rounding for n < 2**20, barring overflow and underflow.
+separated(a, b) asks for a float gap above twice the two bounds, which also
+covers the gap's rounding: then a != b, and the gap has the sign of a - b.
+==, is_zero, compare and points_equal all run that test first and the
+exact normal form only when it fails.
 """
 
 from __future__ import annotations
@@ -66,9 +79,6 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 Rational = Union[int, Fraction]
-
-# Floats closer than this are compared exactly before ordering decisions.
-ORDER_TIE_EPS = 1e-10
 
 
 def _fold_int(k: int, level: int) -> Tuple[int, int]:
@@ -149,19 +159,13 @@ class CosSum:
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("CosSum is immutable")
 
-    # -- construction helpers -------------------------------------------------
-
-    @staticmethod
-    def rational(q: Rational) -> "CosSum":
-        return CosSum._canon({(0, 1): Fraction(q) / 2})
-
     # -- ring structure -------------------------------------------------------
 
     def _coerce(self, other) -> Optional["CosSum"]:
         if isinstance(other, CosSum):
             return other
         if isinstance(other, (int, Fraction)):
-            return CosSum.rational(other)
+            return from_rational(other)
         return None
 
     def __add__(self, other):
@@ -224,7 +228,7 @@ class CosSum:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = CosSum.rational(1)
+        out = from_rational(1)
         base = self
         while n:
             if n & 1:
@@ -265,22 +269,20 @@ class CosSum:
         return None
 
     def is_zero(self) -> bool:
-        if not self.terms:
-            return True
-        # Cheap float separation.  A true zero evaluates to at most ~1e-13
-        # times the coefficient mass, far below this scale-aware threshold.
-        scale = sum(abs(c.numerator / c.denominator) for _, c in self.terms)
-        if abs(self._float) > 1e-9 * max(1.0, 2.0 * scale):
-            return False
-        return to_cyclotomic(self).is_zero()
+        """Exact: separated from 0 on floats (the bound and its libm
+        assumption are in the module docstring), else the normal form."""
+        return not self.terms or (
+            not separated(self, _ZERO) and to_cyclotomic(self).is_zero())
 
     def __eq__(self, other):
+        """Exact: identical terms are equal, separated floats are not, and
+        the rest go to (self - other).is_zero()."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         if self.terms == o.terms:
             return True
-        return (self - o).is_zero()
+        return not separated(self, o) and (self - o).is_zero()
 
     def __float__(self) -> float:
         return self._float
@@ -584,6 +586,9 @@ def _poly_sub(a, b):
 # -- module-level operations (the public vocabulary) ---------------------------
 
 
+_ZERO = CosSum()
+
+
 def cos_value(r, den: int = None) -> CosSum:
     """The ring element 2cos(pi*r)."""
     fr = Fraction(r) if den is None else Fraction(r, den)
@@ -591,7 +596,8 @@ def cos_value(r, den: int = None) -> CosSum:
 
 
 def from_rational(q: Rational) -> CosSum:
-    return CosSum.rational(q)
+    """The ring element q."""
+    return CosSum._canon({(0, 1): Fraction(q) / 2})
 
 
 def match_dictionary(v: float, floats: Sequence[float], eps: float = 1e-8) -> Optional[int]:
@@ -606,20 +612,33 @@ def match_dictionary(v: float, floats: Sequence[float], eps: float = 1e-8) -> Op
     return best
 
 
+def float_error(v: CosSum) -> float:
+    """A bound on |v._float - v|: 2**-52 * (len(v.terms) + 16) * sum|c|,
+    derived in the module docstring from _finish's operation order."""
+    mass = 0.0
+    for _, c in v.terms:
+        mass += abs(c.numerator / c.denominator)
+    return 2.0 ** -52 * (len(v.terms) + 16) * mass
+
+
+def separated(a: CosSum, b: CosSum) -> bool:
+    """Whether the cached floats prove a != b: their gap exceeds twice the
+    sum of the two float_error bounds.  The gap then also has the sign of
+    a - b."""
+    return abs(a._float - b._float) > 2.0 * (float_error(a) + float_error(b))
+
+
 def compare(a: CosSum, b: CosSum) -> int:
     """Total order: float first, exact sign on ties.  Returns -1/0/1.
 
-    Outside the tie band the sign of the cached float difference decides.
-    Each cached float is the double sum of its value's terms, so
-    a._float - b._float is within 1e-12 of the float of a - b on every pair
-    that canonical_key compares over the 45 reference orbits (tested), a
-    hundredth of ORDER_TIE_EPS: beyond the band both have the sign of the
-    true difference.  Only inside the band is a - b built, and its sign is
-    then decided exactly, or at rising mpmath precision.
+    When the cached floats are separated, the sign of their difference is
+    the sign of a - b (see float_error for the bound and the libm
+    assumption it rests on).  Only otherwise is a - b built; a zero is
+    decided exactly, and a nonzero difference inside the band gets its
+    sign at rising mpmath precision.
     """
-    fd = a._float - b._float
-    if abs(fd) > ORDER_TIE_EPS:
-        return -1 if fd < 0 else 1
+    if separated(a, b):
+        return -1 if a._float < b._float else 1
     d = a - b
     if d.is_zero():
         return 0

@@ -166,6 +166,23 @@ def test_main_rejects_a_zero_denominator_as_usage_error(capsys, argv):
     assert "1/0" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["bench", "--span", "-5"], "-5"),
+    (["bench", "--span", "0"], "0"),
+    (["cosine", "--n", "4", "--dens", "0"], "0"),
+    (["cosine", "--n", "4", "--max-den", "-3"], "-3"),
+    (["theta", "--orbit", "1", "--max-den", "0"], "0"),
+    (["theta", "--orbit", "1", "--max-den", "x"], "x"),
+], ids=["span-negative", "span-zero", "dens-zero", "cosine-max-den-negative",
+        "theta-max-den-zero", "theta-max-den-not-a-number"])
+def test_main_rejects_a_non_positive_count_as_usage_error(capsys, argv, text):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"not a positive integer: {text!r}" in err and "Traceback" not in err
+
+
 def _omega_of_zero_denominator():
     data = json.loads(golden_to_json())
     data["rows"][0]["omega"][0] = "1/0"

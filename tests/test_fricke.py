@@ -96,14 +96,20 @@ def test_points_equal_around_tie_band(monkeypatch):
     assert len(exact_calls) == 1  # y and z have identical terms
     assert points_equal((a, y, z), (a, y, z))
     assert len(exact_calls) == 1
-    # 2e-10 lies outside the tie band, 5e-11 inside it
-    for off, exact in ((Fraction(2, 10 ** 10), False), (Fraction(5, 10 ** 11), True)):
-        for b in (one + off, one - off):
-            for p, q in (((a, y, z), (b, y, z)), ((y, z, a), (y, z, b))):
-                before = len(exact_calls)
-                assert not points_equal(p, q)
-                assert not points_equal(q, p)
-                assert (len(exact_calls) > before) == exact
+    for mass in (1, 10 ** 9):
+        am, onem = a * mass, one * mass
+        # 40 times float_error(am) lies outside the band 2*(err_a + err_b),
+        # a quarter of it inside; only inside does the exact path run
+        for off, outside in ((Fraction(40 * trig_field.float_error(am)), True),
+                             (Fraction(trig_field.float_error(am) / 4), False)):
+            for b in (onem + off, onem - off):
+                assert trig_field.separated(am, b) == outside
+                for p, q in (((am, y, z), (b, y, z)), ((y, z, am), (y, z, b))):
+                    before = len(exact_calls)
+                    assert not points_equal(p, q)
+                    assert not points_equal(q, p)
+                    assert (len(exact_calls) > before) == (not outside)
+
 
 def test_residual_is_invariant():
     rng = random.Random(7)

@@ -197,11 +197,34 @@ def test_no_unread_constants():
     assert unread_constants(texts("src"), {**texts("tests"), **texts("perfbench")}) == []
 
 
-def test_package_import_leaves_mpmath_unloaded():
-    # mpmath takes about 3.7 MB of memory; only the high-precision paths
-    # (CosSum.mp_value, compare on a float tie, cosine_angle) import it
+def _run_src(code: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+
+
+def test_package_import_leaves_mpmath_unloaded():
+    # mpmath takes about 3.7 MB of memory; only the high-precision paths
+    # (CosSum.mp_value, compare on a nonzero difference whose floats are not
+    # separated) import it
     code = ("import sys; import fricke_orbits.cli, fricke_orbits.orbit_search; "
             "sys.exit('mpmath' in sys.modules)")
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert _run_src(code).returncode == 0
+
+
+def test_search_verify_and_graph_leave_mpmath_unloaded():
+    # every equality they decide is separated on floats or exact, and
+    # angle labels find their angle through == alone
+    code = (
+        "import sys\n"
+        "from fricke_orbits.cli import main\n"
+        "for argv in (['search', '--threads', '1'], ['verify', '--threads', '1'],\n"
+        "             ['graph', '45']):\n"
+        "    assert main(argv) == 0, argv\n"
+        "    print('loaded after', argv[0], 'mpmath' in sys.modules, file=sys.stderr)\n"
+    )
+    run = _run_src(code)
+    assert run.returncode == 0, run.stderr
+    assert [line for line in run.stderr.splitlines() if line.startswith("loaded")] == [
+        "loaded after search False", "loaded after verify False", "loaded after graph False"]

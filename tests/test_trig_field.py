@@ -13,10 +13,11 @@ from fricke_orbits.trig_field import (
     CosSum,
     compare,
     cos_value,
-    ORDER_TIE_EPS,
     cyclotomic_poly,
+    float_error,
     from_rational,
     match_dictionary,
+    separated,
     to_cyclotomic,
 )
 
@@ -638,7 +639,7 @@ def test_is_zero_fast_path_at_large_coefficient_mass(monkeypatch):
         a = CosSum(terms)
         zero = a - a.reduced()
         assert zero.is_zero()
-        # 1e-12 is far below the fast path's 1e-9 * scale threshold, so the
+        # 1e-12 is far below float_error at this coefficient mass, so the
         # exact path must decide, and it must find the value nonzero
         near = zero + Fraction(1, 10 ** 12)
         before = len(exact_calls)
@@ -665,7 +666,7 @@ def test_total_order():
     assert compare(cos_value(1, 5), cos_value(2, 5)) == 1
     assert compare(cos_value(2, 5), cos_value(1, 5)) == -1
     assert compare(cos_value(1, 5) - cos_value(2, 5), from_rational(1)) == 0
-    # floats tie within 1e-10 but the values differ: exact sign must decide
+    # values 1e-12 apart get the sign of their difference
     tiny = Fraction(1, 10 ** 12)
     a = cos_value(1, 5)
     assert compare(a, a + tiny) == -1
@@ -677,38 +678,58 @@ def _mp_sign(d):
     return (v > 0) - (v < 0)
 
 
-def test_compare_around_tie_band(monkeypatch):
-    exact_calls = []
-    reduce = trig_field.to_cyclotomic
+def _count_exact_work(monkeypatch):
+    """Record every cyclotomic reduction and every mpmath evaluation."""
+    calls = []
+    reduce, mp_value = trig_field.to_cyclotomic, CosSum.mp_value
 
-    def counted(a):
-        exact_calls.append(a)
+    def counted_reduce(a):
+        calls.append(a)
         return reduce(a)
 
-    monkeypatch.setattr(trig_field, "to_cyclotomic", counted)
+    def counted_mp_value(a, dps=50):
+        calls.append(a)
+        return mp_value(a, dps)
+
+    monkeypatch.setattr(trig_field, "to_cyclotomic", counted_reduce)
+    monkeypatch.setattr(CosSum, "mp_value", counted_mp_value)
+    return calls
+
+
+def test_compare_around_tie_band(monkeypatch):
     bases = [cos_value(1, 5), cos_value(3, 7) - cos_value(1, 9) * Fraction(2, 3),
              from_rational(Fraction(-7, 3)), cos_value(1, 5) - cos_value(2, 5)]
-    # 2e-10 lies outside the tie band, 5e-11 and 1e-12 inside it
-    for off in (Fraction(2, 10 ** 10), Fraction(5, 10 ** 11), Fraction(1, 10 ** 12)):
+    cases = []
+    for mass in (1, 10 ** 9):
         for a in bases:
-            for b in (a + off, a - off):
-                sign = _mp_sign(a - b)
-                assert sign != 0
-                before = len(exact_calls)
-                assert compare(a, b) == sign
-                assert compare(b, a) == -sign
-                # the exact path runs only on float ties
-                assert (len(exact_calls) > before) == (off < ORDER_TIE_EPS)
+            a = a * mass
+            # 40 times float_error(a) lies outside the band 2*(err_a + err_b)
+            # around a, a quarter of it inside
+            for off, outside in ((Fraction(40 * float_error(a)), True),
+                                 (Fraction(float_error(a) / 4), False)):
+                for b in (a + off, a - off):
+                    cases.append((a, b, outside, _mp_sign(a - b)))
+    calls = _count_exact_work(monkeypatch)
+    for a, b, outside, sign in cases:
+        assert sign != 0
+        assert separated(a, b) == separated(b, a) == outside
+        before = len(calls)
+        assert compare(a, b) == sign
+        assert compare(b, a) == -sign
+        # the exact path runs only when the floats are not separated
+        assert (len(calls) > before) == (not outside)
     assert compare(bases[3], from_rational(1)) == 0
+    assert compare(bases[3] * 10 ** 9, from_rational(10 ** 9)) == 0
 
 
 def test_compare_float_difference_matches_float_of_difference(golden_records, monkeypatch):
     """The premise of compare's fast path, on every pair canonical_key
     compares over the 45 reference orbits, and on each edge's computed
     image coordinate against the stored neighbour coordinate, the pair
-    points_equal sees in verify_record: the difference of the cached
-    floats is within 1e-12 of the float of a - b, so wherever the float of
-    a - b lies outside the tie band, compare returns its sign."""
+    points_equal sees in verify_record: each cached float lies within
+    float_error of the value at 60 digits, a separated pair gets the sign
+    of its float difference without exact work, and only a pair that is
+    not separated runs the exact path."""
     pairs = []
 
     def recording(a, b):
@@ -718,14 +739,61 @@ def test_compare_float_difference_matches_float_of_difference(golden_records, mo
     monkeypatch.setattr(fricke_action, "compare", recording)
     for rec in golden_records:
         fricke_action.canonical_key(rec.points, rec.omega)
-    assert len(pairs) > 1000
+    assert len(pairs) > 800
     for rec in golden_records:
         for i, p in enumerate(rec.points):
             for c, g in enumerate("xyz"):
                 q = rec.points[rec.neighbors[c][i]]
                 pairs.append((fricke_action.apply(g, p, rec.omega)[c], q[c]))
+    for v in {id(v): v for pair in pairs for v in pair}.values():
+        assert abs(v.float_value() - v.mp_value(60)) <= float_error(v)
+    calls = _count_exact_work(monkeypatch)
+    ties = 0
     for a, b in pairs:
-        fd = (a - b).float_value()
-        assert abs((a.float_value() - b.float_value()) - fd) <= 1e-12
-        if abs(fd) > ORDER_TIE_EPS:
-            assert compare(a, b) == (1 if fd > 0 else -1)
+        before = len(calls)
+        got = compare(a, b)
+        if separated(a, b):
+            assert got == (1 if a.float_value() > b.float_value() else -1)
+            assert len(calls) == before
+        else:
+            ties += 1
+            assert got == 0 or len(calls) > before
+        assert (got == 0) == (a == b)
+    assert 0 < ties < len(pairs)
+
+
+def test_float_error_bounds_adversarial_sums():
+    """float_error bounds |_float - value| on 1000 seeded sums of 1 to 60 terms,
+    denominators up to 2520 and coefficients up to 1e12, half of them with
+    cancelling pairs of neighbouring angles; and on sums whose terms are
+    each below half an ulp of a leading rational, so that recursive
+    summation drops them all.  Those reach more than 16 * 2**-52 times the
+    mass, so neither the term count nor the mass can leave the bound."""
+    rng = random.Random(20261020)
+    sums = []
+    for i in range(1000):
+        terms = {}
+        for _ in range(rng.randint(1, 60)):
+            den = rng.randint(1, 2520)
+            coeff = Fraction(rng.randint(-10 ** 12, 10 ** 12), rng.randint(1, 2520))
+            num = rng.randint(0, 2 * den)
+            terms[(num, den)] = coeff
+            if i % 2 and num < den:
+                terms[(num + 1, den)] = -coeff
+        sums.append(CosSum(terms))
+    for n in (20, 40, 60):
+        big = 2 ** 40
+        # each term small * 2cos(pi*k/2520), k < 1260, is positive and
+        # below half an ulp of the running sum 2*big, so it rounds away
+        small = Fraction(45, 100) * Fraction(2 ** 41, 2 ** 52) / 2
+        terms = {(0, 1): Fraction(big)}
+        terms.update({(k, 2520): small for k in range(1, n)})
+        sums.append(CosSum(terms))
+    worst_count = worst_mass = 0.0
+    for v in sums:
+        err = abs(v.float_value() - v.mp_value(60))
+        assert err <= float_error(v), v
+        mass = float(sum(abs(c) for _, c in v.terms))
+        worst_count = max(worst_count, err / (2.0 ** -52 * 16 * mass))
+        worst_mass = max(worst_mass, err / (2.0 ** -52 * (len(v.terms) + 16)))
+    assert worst_count > 1 and worst_mass > 1
