@@ -147,7 +147,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, NamedTuple, Tuple
@@ -181,17 +180,7 @@ CHUNK = 1 << 20
 
 
 def backend_name() -> str:
-    """The scan backend, "numpy", the only one there is.
-
-    Raises ValueError, naming the variable, when FRICKE_ORBITS_BACKEND is
-    set to anything but numpy.
-    """
-    forced = os.environ.get("FRICKE_ORBITS_BACKEND", "").strip().lower()
-    if forced not in ("", "numpy"):
-        raise ValueError(
-            "FRICKE_ORBITS_BACKEND must be numpy or unset, got %r; numba support "
-            "was removed" % forced
-        )
+    """The scan backend, "numpy", the only one there is."""
     return "numpy"
 
 

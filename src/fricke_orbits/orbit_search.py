@@ -25,7 +25,7 @@ import os
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from itertools import chain, combinations_with_replacement
@@ -567,6 +567,7 @@ class SearchResult:
     threads: int
     eps: float
     elapsed: float
+    timings: Dict[str, float] = field(default_factory=dict)
 
 
 def _float_orbit_key(pc: np.ndarray, ws, w4: float) -> tuple:
@@ -641,56 +642,61 @@ def full_search(
     verify_record, or ConsistencyError is raised.  Arguments failing
     check_search_args, and a backend other than None or "numpy", raise
     ValueError before anything is scanned.
+
+    timings holds the seconds of each phase: tables, scan.class1 to
+    scan.class4 (summed over each class's chunks inside the workers, so
+    above one thread more than wall time), dedup, close (exact closures
+    and canonical keys) and verify.
     """
 
-    t0 = time.perf_counter()
+    clock = time.perf_counter
+    t0 = clock()
     check_search_args(threads, eps)
-    if backend is None:
-        backend = _kernels.backend_name()
-    if backend != "numpy":
+    if backend not in (None, "numpy"):
         raise ValueError(f"backend must be numpy, got {backend!r}")
     if threads is None:
         threads = _threads_from_env()
     tables = get_search_tables()
     kt = tables.kernel
+    timings = {"tables": clock() - t0}
 
     tasks = []
     for cls in (1, 2, 3, 4):
+        timings[f"scan.class{cls}"] = 0.0
         size = _kernels.class_size(cls, kt)
         for start in range(0, size, _kernels.CHUNK):
             tasks.append((cls, start, min(size, start + _kernels.CHUNK)))
 
     def run(task):
-        cls, a, b = task
-        return _kernels.scan_chunk(cls, a, b, kt, eps, backend)
+        t = clock()
+        res = _kernels.scan_chunk(*task, kt, eps, "numpy")
+        return res, clock() - t
 
-    survivors: List[Tuple[int, int, int]] = []
+    # records of size <= 4 always belong to a parametric family: tally them
+    # by size and keep the rest for the exact pipeline
+    fam: Counter = Counter()
+    big: List[Tuple[int, int, int]] = []
     processed = {1: 0, 2: 0, 3: 0, 4: 0}
-    ncay = 0
-    ncap = 0
+    nsurv = ncay = ncap = 0
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        for task, res in zip(tasks, ex.map(run, tasks)):
-            idxs, sizes, nproc, cay, cap = res
-            processed[task[0]] += nproc
+        for (cls, *_), ((idxs, sizes, nproc, cay, cap), dt) in zip(tasks, ex.map(run, tasks)):
+            timings[f"scan.class{cls}"] += dt
+            processed[cls] += nproc
             ncay += cay
             ncap += cap
-            survivors.extend(
-                (task[0], int(i), int(s)) for i, s in zip(idxs, sizes)
-            )
+            nsurv += len(idxs)
+            for i, s in zip(idxs, sizes):
+                if s <= 4:
+                    fam[_SIZE_TAG[s]] += 1
+                else:
+                    big.append((cls, int(i), int(s)))
 
-    # records of size <= 4 always belong to a parametric family; bucket
-    # them by size and run the exact pipeline only on the rest
-    fam: Counter = Counter()
+    t = clock()
     seen = set()
     cand: List[Tuple[int, int, int]] = []
-    for cls, idx, fsz in survivors:
-        if fsz <= 4:
-            fam[_SIZE_TAG[fsz]] += 1
-            continue
+    for cls, idx, fsz in big:
         X, Y, Z, wx, wy, wz, w4 = _kernels.decode_float(cls, idx, kt)
-        res, pc, _ = _kernels.close_float(
-            X, Y, Z, wx, wy, wz, kt.s4, eps, want_points=True
-        )
+        res, pc, _ = _kernels.close_float(X, Y, Z, wx, wy, wz, kt.s4, eps, want_points=True)
         if res != fsz:
             raise ConsistencyError(
                 f"float closure is not reproducible: class {cls} index {idx} "
@@ -701,18 +707,16 @@ def full_search(
             continue
         seen.add(key)
         cand.append((cls, idx, fsz))
+    timings["dedup"] = clock() - t
 
+    t = clock()
     records: List[OrbitRecord] = []
     junk = 0
     for cls, idx, fsz in cand:
         g = decode_config(cls, idx, tables)
         try:
-            rec = close_orbit(
-                g.point,
-                g.omega,
-                cap=min(_kernels.CAP, 2 * fsz + 8),
-                source=(cls, idx),
-            )
+            rec = close_orbit(g.point, g.omega, cap=min(_kernels.CAP, 2 * fsz + 8),
+                              source=(cls, idx))
         except CapError:
             ncap += 1
             continue
@@ -727,7 +731,10 @@ def full_search(
         if any(keys_equal(rec.canonical, r.canonical) for r in records):
             continue
         records.append(rec)
+    records.sort(key=cmp_to_key(_record_cmp))
+    timings["close"] = clock() - t
 
+    t = clock()
     for rec in records:
         try:
             verify_record(rec)
@@ -736,20 +743,21 @@ def full_search(
                 f"orbit of class {rec.source[0]} index {rec.source[1]} fails "
                 f"verify_record: {exc}"
             ) from exc
-    records.sort(key=cmp_to_key(_record_cmp))
+    timings["verify"] = clock() - t
     return SearchResult(
         records=records,
         family_hits=dict(fam),
         processed=processed,
         cayley_skips=ncay,
         cap_hits=ncap,
-        survivors=len(survivors),
+        survivors=nsurv,
         candidates=len(cand),
         junk=junk,
-        backend=backend,
+        backend="numpy",
         threads=threads,
         eps=eps,
-        elapsed=time.perf_counter() - t0,
+        elapsed=clock() - t0,
+        timings=timings,
     )
 
 
