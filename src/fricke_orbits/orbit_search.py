@@ -643,14 +643,12 @@ def full_search(
     check_search_args, and a backend other than None or "numpy", raise
     ValueError before anything is scanned.
 
-    timings holds the seconds of each phase: tables, scan.class1 to
-    scan.class4 (summed over each class's chunks inside the workers, so
-    above one thread more than wall time), dedup, close (exact closures
-    and canonical keys) and verify.
+    timings holds the seconds of tables, scan.class1 to scan.class4 (each
+    summed over the class's chunks inside the workers), dedup, close (exact
+    closures and canonical keys) and verify.
     """
 
-    clock = time.perf_counter
-    t0 = clock()
+    t0 = time.perf_counter()
     check_search_args(threads, eps)
     if backend not in (None, "numpy"):
         raise ValueError(f"backend must be numpy, got {backend!r}")
@@ -658,7 +656,7 @@ def full_search(
         threads = _threads_from_env()
     tables = get_search_tables()
     kt = tables.kernel
-    timings = {"tables": clock() - t0}
+    timings = {"tables": time.perf_counter() - t0}
 
     tasks = []
     for cls in (1, 2, 3, 4):
@@ -668,35 +666,37 @@ def full_search(
             tasks.append((cls, start, min(size, start + _kernels.CHUNK)))
 
     def run(task):
-        t = clock()
+        t = time.perf_counter()
         res = _kernels.scan_chunk(*task, kt, eps, "numpy")
-        return res, clock() - t
+        return task[0], time.perf_counter() - t, res
 
     # records of size <= 4 always belong to a parametric family: tally them
     # by size and keep the rest for the exact pipeline
     fam: Counter = Counter()
     big: List[Tuple[int, int, int]] = []
     processed = {1: 0, 2: 0, 3: 0, 4: 0}
-    nsurv = ncay = ncap = 0
+    ncay = 0
+    ncap = 0
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        for (cls, *_), ((idxs, sizes, nproc, cay, cap), dt) in zip(tasks, ex.map(run, tasks)):
+        for cls, dt, (idxs, sizes, nproc, cay, cap) in ex.map(run, tasks):
             timings[f"scan.class{cls}"] += dt
             processed[cls] += nproc
             ncay += cay
             ncap += cap
-            nsurv += len(idxs)
             for i, s in zip(idxs, sizes):
                 if s <= 4:
                     fam[_SIZE_TAG[s]] += 1
                 else:
                     big.append((cls, int(i), int(s)))
 
-    t = clock()
+    t = time.perf_counter()
     seen = set()
     cand: List[Tuple[int, int, int]] = []
     for cls, idx, fsz in big:
         X, Y, Z, wx, wy, wz, w4 = _kernels.decode_float(cls, idx, kt)
-        res, pc, _ = _kernels.close_float(X, Y, Z, wx, wy, wz, kt.s4, eps, want_points=True)
+        res, pc, _ = _kernels.close_float(
+            X, Y, Z, wx, wy, wz, kt.s4, eps, want_points=True
+        )
         if res != fsz:
             raise ConsistencyError(
                 f"float closure is not reproducible: class {cls} index {idx} "
@@ -707,16 +707,20 @@ def full_search(
             continue
         seen.add(key)
         cand.append((cls, idx, fsz))
-    timings["dedup"] = clock() - t
+    timings["dedup"] = time.perf_counter() - t
 
-    t = clock()
+    t = time.perf_counter()
     records: List[OrbitRecord] = []
     junk = 0
     for cls, idx, fsz in cand:
         g = decode_config(cls, idx, tables)
         try:
-            rec = close_orbit(g.point, g.omega, cap=min(_kernels.CAP, 2 * fsz + 8),
-                              source=(cls, idx))
+            rec = close_orbit(
+                g.point,
+                g.omega,
+                cap=min(_kernels.CAP, 2 * fsz + 8),
+                source=(cls, idx),
+            )
         except CapError:
             ncap += 1
             continue
@@ -732,9 +736,9 @@ def full_search(
             continue
         records.append(rec)
     records.sort(key=cmp_to_key(_record_cmp))
-    timings["close"] = clock() - t
+    timings["close"] = time.perf_counter() - t
 
-    t = clock()
+    t = time.perf_counter()
     for rec in records:
         try:
             verify_record(rec)
@@ -743,20 +747,20 @@ def full_search(
                 f"orbit of class {rec.source[0]} index {rec.source[1]} fails "
                 f"verify_record: {exc}"
             ) from exc
-    timings["verify"] = clock() - t
+    timings["verify"] = time.perf_counter() - t
     return SearchResult(
         records=records,
         family_hits=dict(fam),
         processed=processed,
         cayley_skips=ncay,
         cap_hits=ncap,
-        survivors=nsurv,
+        survivors=sum(fam.values()) + len(big),
         candidates=len(cand),
         junk=junk,
         backend="numpy",
         threads=threads,
         eps=eps,
-        elapsed=clock() - t0,
+        elapsed=time.perf_counter() - t0,
         timings=timings,
     )
 

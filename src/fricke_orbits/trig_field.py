@@ -133,7 +133,7 @@ class CosSum:
     so callers dedup through float buckets plus exact confirmation.
     """
 
-    __slots__ = ("terms", "_float", "_err")
+    __slots__ = ("terms", "_float")
     __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, raw: Mapping = ()):  # raw: {(num, den) | rational: coeff}
@@ -155,7 +155,6 @@ class CosSum:
         for (num, den), c in terms:
             f += c.numerator / c.denominator * 2.0 * math.cos(math.pi * num / den)
         object.__setattr__(self, "_float", f)
-        object.__setattr__(self, "_err", None)  # float_error, on first use
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("CosSum is immutable")
@@ -615,14 +614,11 @@ def match_dictionary(v: float, floats: Sequence[float], eps: float = 1e-8) -> Op
 
 def float_error(v: CosSum) -> float:
     """A bound on |v._float - v|: 2**-52 * (len(v.terms) + 16) * sum|c|,
-    derived in the module docstring from _finish's operation order;
-    computed once per value."""
-    if v._err is None:
-        mass = 0.0
-        for _, c in v.terms:
-            mass += abs(c.numerator / c.denominator)
-        object.__setattr__(v, "_err", 2.0 ** -52 * (len(v.terms) + 16) * mass)
-    return v._err
+    derived in the module docstring from _finish's operation order."""
+    mass = 0.0
+    for _, c in v.terms:
+        mass += abs(c.numerator / c.denominator)
+    return 2.0 ** -52 * (len(v.terms) + 16) * mass
 
 
 def separated(a: CosSum, b: CosSum) -> bool:
@@ -637,16 +633,13 @@ def compare(a: CosSum, b: CosSum) -> int:
 
     When the cached floats are separated, the sign of their difference is
     the sign of a - b (see float_error for the bound and the libm
-    assumption it rests on).  Only otherwise is d = a - b built; when d's
-    own float is separated from 0 it has the sign of d, a zero is decided
-    exactly, and only a nonzero d that is not separated from 0 gets its
+    assumption it rests on).  Only otherwise is a - b built; a zero is
+    decided exactly, and a nonzero difference inside the band gets its
     sign at rising mpmath precision.
     """
     if separated(a, b):
         return -1 if a._float < b._float else 1
     d = a - b
-    if separated(d, _ZERO):
-        return -1 if d._float < 0 else 1
     if d.is_zero():
         return 0
     import mpmath  # on first use, as in CosSum.mp_value
