@@ -29,7 +29,7 @@ from .trig_field import CosSum, cos_value, from_rational
 Phi = Tuple[Fraction, ...]
 
 
-class BudgetExceeded(RuntimeError):
+class BudgetExceeded(ValueError):
     """Enumeration visited more candidates than the configured limit."""
 
 
@@ -263,21 +263,6 @@ def enumerate_vanishing(n: int, den_bound: DenSpec,
         if c not in found:
             found[c] = PhiTuple(c, True, family_tag(c))
 
-    def last_level(start: int, fsum: float, prefix: List[int]) -> None:
-        target = -fsum
-        # cosv is descending; find the window within tolerance
-        lo, hi = start, m
-        while lo < hi:  # first index with cosv < target + TOL ... scan window
-            mid = (lo + hi) // 2
-            if cosv[mid] > target + _TOL:
-                lo = mid + 1
-            else:
-                hi = mid
-        i = lo
-        while i < m and cosv[i] >= target - _TOL:
-            confirm(prefix + [i])
-            i += 1
-
     def two_level(start: int, fsum: float, prefix: List[int]) -> None:
         nonlocal nodes
         lo, hi = start, m - 1
@@ -301,9 +286,6 @@ def enumerate_vanishing(n: int, den_bound: DenSpec,
     def rec(start: int, depth: int, fsum: float, prefix: List[int]) -> None:
         nonlocal nodes
         remaining = n - depth
-        if remaining == 1:
-            last_level(start, fsum, prefix)
-            return
         if remaining == 2:
             two_level(start, fsum, prefix)
             return

@@ -258,7 +258,7 @@ class Suborbit:
     n_common: Optional[int]   # frozen = 2cos(pi*n_common/length) when length > 1
 
 
-class Diverges(RuntimeError):
+class Diverges(ValueError):
     """The suborbit (or orbit) is infinite or exceeds the search range."""
 
 

@@ -21,6 +21,17 @@ L the lcm of the denominators, and takes the remainder of the exponent
 polynomial modulo the n-th cyclotomic polynomial Phi_n.  Phi_n is the minimal
 polynomial of zeta, so that remainder (the power-basis normal form) is unique.
 
+Inverses need no second polynomial arithmetic.  For u prime to 2L the
+Galois automorphism zeta -> zeta^u of Q(zeta) sends 2cos(pi*k/L) to
+2cos(pi*u*k/L), so it maps a term key (num, den) to _fold_int(num*u, den):
+u is prime to 2*den, so the key stays canonical, over the same den.  u and
+2L - u act alike on real values, and the odd u in [1, L) prime to L stand
+for the Galois group of the real field Q(cos(pi/L)).  The product of a's
+conjugates over that group is its norm N(a), a rational, nonzero when a is
+(L. C. Washington, Introduction to Cyclotomic Fields, GTM 83, ch. 2).  So
+a^-1 = rest / N(a), with rest the product of the conjugates for u >= 3;
+inverse reads N(a) off the normal form of a*rest and reduces the quotient.
+
 The remainder is computed without a dense division by Phi_n:
 
 * Phi_n is built from the primes of n alone: with r = rad(n) the product of
@@ -305,14 +316,18 @@ class CosSum:
             return total
 
     def inverse(self) -> "CosSum":
-        """Exact multiplicative inverse (the ring is a field on nonzero values)."""
-        el = to_cyclotomic(self)
-        if el.is_zero():
+        """Exact multiplicative inverse (the ring is a field on nonzero
+        values): the product of the other conjugates over the norm, in the
+        normal form of reduced().  See the module docstring."""
+        if self.is_zero():
             raise ZeroDivisionError("CosSum division by zero")
-        phi = [Fraction(c) for c in cyclotomic_poly(2 * el.level)]
-        inv = _poly_inverse_mod(list(el.coeffs), phi)
-        q = math.lcm(*(c.denominator for c in inv))
-        return _symmetrize([c.numerator * (q // c.denominator) for c in inv], q, el.level)
+        level = math.lcm(*{den for (_, den), _ in self.terms})
+        rest = from_rational(1)
+        for u in range(3, level, 2):
+            if math.gcd(u, level) == 1:
+                rest = rest * CosSum._canon(
+                    {_fold_int(num * u, den): c for (num, den), c in self.terms})
+        return (rest / (self * rest).reduced().as_rational()).reduced()
 
     def reduced(self) -> "CosSum":
         """Canonical representative via the cyclotomic normal form.
@@ -524,63 +539,6 @@ def _symmetrize(numer: Sequence[int], common: int, level: int) -> CosSum:
             acc[key] = acc.get(key, 0) + x
     common *= 2
     return CosSum._canon({k: Fraction(x, common) for k, x in acc.items()})
-
-
-def _poly_inverse_mod(a, phi):
-    """Extended Euclid in Q[x]: inverse of a modulo phi (phi irreducible)."""
-    r0 = [Fraction(c) for c in phi]
-    r1 = _poly_divmod_frac(a, r0)[1]
-    s0, s1 = [], [Fraction(1)]
-    while r1:
-        if len(r1) == 1:  # unit reached
-            c = r1[0]
-            return [x / c for x in s1]
-        q, r = _poly_divmod_frac(r0, r1)
-        r0, r1 = r1, r
-        qs = _poly_mul_plain(q, s1)
-        new_s = _poly_sub(s0, qs)
-        s0, s1 = s1, new_s
-    raise ZeroDivisionError("not invertible modulo the cyclotomic polynomial")
-
-
-def _poly_divmod_frac(num, den):
-    num = list(num)
-    dn = len(den) - 1
-    lead = den[-1]
-    quot = [Fraction(0)] * max(len(num) - dn, 0)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i] / lead
-        if c:
-            quot[i - dn] = c
-            for j in range(dn + 1):
-                num[i - dn + j] -= c * den[j]
-    while num and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
-def _poly_mul_plain(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] += ca * cb
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    while out and out[-1] == 0:
-        out.pop()
-    return out
 
 
 # -- module-level operations (the public vocabulary) ---------------------------

@@ -1,11 +1,15 @@
+import functools
+import importlib
 import json
+import pkgutil
 
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from fricke_orbits import _kernels, golden, orbit_search
+import fricke_orbits
+from fricke_orbits import _kernels, cosine_sums, golden, orbit_search
 from fricke_orbits.cli import (
     RunConfig,
     cmd_search,
@@ -256,6 +260,39 @@ def test_main_maps_an_exact_closure_of_another_size_to_exit_3(monkeypatch, capsy
     # raised by the size check, before verify_record sees the short record
     assert "exact closure disagrees with the float closure: class " in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_main_maps_an_exhausted_cosine_budget_to_exit_2(monkeypatch, capsys):
+    # with the default budget, --n 6 --max-den 30 runs out after seconds
+    monkeypatch.setattr("fricke_orbits.cli.enumerate_vanishing",
+                        functools.partial(cosine_sums.enumerate_vanishing, budget=1000))
+    assert main(["cosine", "--n", "6", "--max-den", "30"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: more than 1000 candidates\n"
+    assert captured.out == ""
+
+
+def _package_exceptions():
+    """Every exception class a fricke_orbits module defines."""
+    out = {}
+    for info in pkgutil.iter_modules(fricke_orbits.__path__):
+        module = importlib.import_module(f"fricke_orbits.{info.name}")
+        for name, obj in vars(module).items():
+            if (isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__):
+                out[f"{info.name}.{name}"] = obj
+    return out
+
+
+def test_every_package_exception_maps_to_an_exit_code():
+    # main turns ValueError and OSError into exit 2 and ConsistencyError
+    # into exit 3; any other exception escapes as a traceback
+    found = _package_exceptions()
+    assert {"orbit_search.ConsistencyError", "orbit_search.CapError",
+            "sl2_monodromy.ReducibleLocus"} <= set(found)
+    unmapped = [name for name, cls in found.items()
+                if not issubclass(cls, (ValueError, OSError, orbit_search.ConsistencyError))]
+    assert unmapped == []
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from fricke_orbits.orbit_search import (
     EPS,
     CapError,
     OrbitRecord,
+    _SIZE_TAG,
     _float_orbit_key,
     cayley_orbit,
     class_counter,
@@ -561,6 +562,37 @@ def test_classify_type_iv():
 def test_classify_large_is_none():
     rec = close_orbit(make_point(-1, 1, 1), W5)
     assert classify_special(rec) is None
+
+
+# scan blocks of 2^17 seeds whose survivors of size <= 4 are: class 3
+# [0, 2^17) sizes 1-3, class 4 [2^17, 2^18) one each of sizes 2 and 4,
+# class 1 [2^21, ...) sizes 1, 3 and 4, and, for a wider sample of size 4,
+# the blocks of classes 2, 3 and 4 that hold 82, 94 and 112 of them
+_FAMILY_BLOCKS = ((3, 0), (4, 1 << 17), (1, 1 << 21),
+                  (2, 786_432), (3, 7_602_176), (4, 7_733_248))
+
+
+def test_classify_special_is_the_oracle_of_the_family_tally():
+    # full_search tallies survivors of size <= 4 into families I-IV by their
+    # float size alone; a seeded sample of each size closed exactly must
+    # have that size and the family the tally counts it in
+    rng = random.Random(20)
+    sampled = {}
+    for cls, start in _FAMILY_BLOCKS:
+        idxs, sizes, _, _, _ = _kernels.scan_chunk(cls, start, start + (1 << 17), KT, EPS,
+                                                   "numpy")
+        by_size = {}
+        for idx, fsz in zip(idxs, sizes):
+            if fsz <= 4:
+                by_size.setdefault(fsz, []).append(idx)
+        for fsz, pool in sorted(by_size.items()):
+            for idx in rng.sample(pool, min(20, len(pool))):
+                g = decode_config(cls, idx)
+                rec = close_orbit(g.point, g.omega, cap=2 * fsz + 8)
+                assert rec is not None and rec.size == fsz, (cls, idx)
+                assert classify_special(rec)[0] == _SIZE_TAG[fsz], (cls, idx)
+                sampled[fsz] = sampled.get(fsz, 0) + 1
+    assert sorted(sampled) == [1, 2, 3, 4] and min(sampled.values()) >= 20
 
 
 # ---------------------------------------------------------------------------

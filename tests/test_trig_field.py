@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fricke_orbits import fricke_action, trig_field
+from fricke_orbits.orbit_search import get_dictionaries
 from fricke_orbits.trig_field import (
     CosSum,
     compare,
@@ -211,6 +212,20 @@ def test_division_roundtrip():
     with pytest.raises(ZeroDivisionError):
         CosSum().inverse()
     assert (cos_value(1, 5) / 2 * 2 - cos_value(1, 5)).is_zero()
+    # the Galois norm at high levels, on every nonzero s4 entry (the class-2
+    # divisor of decode_config), and on 1 written without a rational term;
+    # the inverse is in the normal form of reduced()
+    fixed = [
+        cos_value(2, 105) + cos_value(1, 7) * 2 + cos_value(1, 3),
+        cos_value(1, 210) + cos_value(1, 7),
+        cos_value(1, 420) + cos_value(1, 5) * 2,
+        cos_value(1, 5) - cos_value(2, 5),
+    ] + [e.value for e in get_dictionaries().s4 if not e.value.is_zero()]
+    assert len(fixed) == 4 + 82
+    for a in fixed:
+        inv = a.inverse()
+        assert a * inv == 1
+        assert inv.terms == inv.reduced().terms
 
 
 # ---------------------------------------------------------------------------
