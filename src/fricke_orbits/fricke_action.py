@@ -33,7 +33,9 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .trig_field import CosSum, compare, cos_value, from_rational, separated
+from .trig_field import (
+    CosSum, compare, cos_value, from_rational, level_of, separated, totient,
+)
 
 Point3 = Tuple[CosSum, CosSum, CosSum]
 
@@ -63,8 +65,14 @@ COLORS = "xyz"
 
 def _tame(v: CosSum) -> CosSum:
     # iterated moves multiply coordinates, so representations can swell
-    # until their float evaluation drifts; collapse the big ones
-    if len(v.terms) > 6 or any(
+    # until their float evaluation drifts; collapse a value with a
+    # coefficient above 1024 or more terms than max(6, phi(2L)), L its
+    # level.  A normal form has at most phi(2L) terms, so a collapse on the
+    # term count never adds any (one on a large coefficient can); a
+    # few-term value at a high level is kept, since its normal form is far
+    # denser (2cos(pi/3080) alone has 177 terms there)
+    n = len(v.terms)
+    if (n > 6 and n > totient(2 * level_of(v))) or any(
         abs(c.numerator) > 1024 or c.denominator > 1024 for _, c in v.terms
     ):
         return v.reduced()

@@ -634,6 +634,75 @@ def test_normal_form_of_zero():
     assert el2.level == 7 and len(el2.coeffs) == 6  # deg Phi_14
 
 
+# ---------------------------------------------------------------------------
+# normal-form size, and when apply collapses a value into it
+# ---------------------------------------------------------------------------
+
+
+def _values_at_level(rng, level, count, terms=(1, 12)):
+    """count seeded values of level exactly `level`, each with a number of
+    terms in the inclusive range `terms` and small coefficients."""
+    keys = sorted({trig_field._fold_int(k, level) for k in range(level + 1)} - {(1, 2), (1, level)})
+    out = []
+    for _ in range(count):
+        picked = rng.sample(keys, min(len(keys), rng.randint(*terms) - 1)) + [(1, level)]
+        a = CosSum({key: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
+                    for key in picked})
+        assert terms[0] <= len(a.terms) <= terms[1] and trig_field.level_of(a) == level
+        out.append(a)
+    return out
+
+
+def test_totient_and_level_of():
+    assert [trig_field.totient(n) for n in range(1, 3000)] == [_totient(n) for n in range(1, 3000)]
+    assert trig_field.level_of(cos_value(1, 8) + cos_value(2, 35) * 3 + 1) == 280
+    assert trig_field.level_of(from_rational(5)) == 1
+
+
+@pytest.mark.parametrize("level", [3, 15, 21, 105, 770, 2520, 3080])
+def test_normal_form_has_at_most_phi_2l_terms(level):
+    # each of the phi(2L) power-basis entries folds to a key of its own
+    rng = random.Random(level)
+    bound = trig_field.totient(2 * level)
+    dense = (bound, bound + 40) if level <= 105 else (1, 12)
+    for a in _values_at_level(rng, level, 4) + _values_at_level(rng, level, 2, dense):
+        assert len(a.reduced().terms) <= bound
+
+
+@pytest.mark.parametrize("level", [195, 770, 2520, 3080])
+def test_tame_keeps_few_term_values_at_a_high_level(level):
+    # 7 to 12 terms is more than 6 and far below phi(2L) >= 96
+    rng = random.Random(level)
+    for a in _values_at_level(rng, level, 6, (7, 12)):
+        assert fricke_action._tame(a).terms == a.terms
+
+
+@pytest.mark.parametrize("level", [10, 15, 30, 60])
+def test_tame_collapses_past_phi_2l_terms(level):
+    rng = random.Random(level)
+    bound = max(6, trig_field.totient(2 * level))
+    for a in _values_at_level(rng, level, 4, (bound + 1, bound + 12)):
+        out = fricke_action._tame(a)
+        assert out.terms == a.reduced().terms and out == a
+        assert len(out.terms) < len(a.terms)
+
+
+@pytest.mark.parametrize("level", [5, 15, 105, 770])
+def test_tame_collapses_large_coefficients(level):
+    # pile-ups: large coefficients that cancel down to a normal form; the
+    # first has too few terms for the term count to collapse it
+    rng = random.Random(level)
+    piles = [(cos_value(1, 5) - cos_value(2, 5)) * 2000]
+    piles += [r + (a - r) * 2000
+              for a in _values_at_level(rng, level, 3, (2, 6)) for r in [a.reduced()]]
+    for piled in piles:
+        assert any(abs(c.numerator) > 1024 for _, c in piled.terms)
+        out = fricke_action._tame(piled)
+        assert out.terms == piled.reduced().terms and out == piled
+        assert len(out.terms) <= len(piled.terms)
+    assert fricke_action._tame(piles[0]).terms == from_rational(2000).terms
+
+
 def test_is_zero_fast_path_at_large_coefficient_mass(monkeypatch):
     exact_calls = []
     reduce = trig_field.to_cyclotomic
