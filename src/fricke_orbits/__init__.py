@@ -4,7 +4,7 @@ Submodules:
   trig_field      exact arithmetic in the ring generated by 2cos(pi*q)
   sl2_monodromy   matrix-level action, trace invariants, reconstruction
   fricke_action   the induced action on C^3, equivalences, suborbits
-  cosine_sums     rational vanishing sums of cosines / roots of unity
+  cosine_sums     rational vanishing sums of cosines
   orbit_search    dictionaries, generating configurations, exhaustive search
   orbit_graphs    3-colored orbit graphs and their statistics
   parameter_maps  theta parameters, Backlund transformations, the xi cubic

@@ -11,10 +11,6 @@ one-parameter families (pairs II_phi; triples III_phi; five- and six-term
 progressions V_phi, VI_phi built on fifths) plus finitely many sporadic
 tuples: one triple III_1, four quadruples IV, seven 5-tuples (V_1, V_2, V_3)
 and thirteen 6-tuples (VI_1 .. VI_5).
-
-The companion problem sum_j exp(2*pi*i*phi_j) = 0 is handled up to
-permutations and a common rational shift; its irreducible solutions are the
-full p-th root patterns for p = 2, 3, 5 and one 6-term family.
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Sequence, Set, Tuple, Union
 
 from .trig_field import CosSum, cos_value, from_rational
 
@@ -63,10 +59,6 @@ def cos2pi_sum(t: Iterable) -> CosSum:
         q = _frac(q) % 1
         acc = acc + cos_value(2 * q.numerator, q.denominator) * Fraction(1, 2)
     return acc
-
-
-def is_vanishing(t: Iterable) -> bool:
-    return cos2pi_sum(t).is_zero()
 
 
 def is_irreducible(t: Iterable) -> bool:
@@ -195,20 +187,9 @@ def family_tag(t: Iterable) -> str:
     return "other"
 
 
-def classify(t: Iterable) -> PhiTuple:
-    c = canonicalize(t)
-    if not is_vanishing(c):
-        return PhiTuple(c, False, "other")
-    irr = is_irreducible(c)
-    return PhiTuple(c, irr, family_tag(c) if irr else "other")
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
-
-DIVISORS_OF_60 = (1, 2, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60)
-DIVISORS_OF_30 = (1, 2, 3, 5, 6, 10, 15, 30)
 
 DenSpec = Union[int, Iterable[int]]
 
@@ -219,14 +200,14 @@ def _allowed_dens(den_bound: DenSpec) -> List[int]:
     return sorted(set(int(d) for d in den_bound))
 
 
-def build_values(den_bound: DenSpec, upper=Fraction(1, 2)) -> List[Fraction]:
-    """All reduced fractions in [0, upper] with an allowed denominator."""
+def build_values(den_bound: DenSpec) -> List[Fraction]:
+    """All reduced fractions in [0, 1/2] with an allowed denominator."""
     dens = set(_allowed_dens(den_bound))
     out = {Fraction(0)} if 1 in dens else set()
     for d in dens:
         for a in range(1, d + 1):
             q = Fraction(a, d)
-            if q <= upper and q.denominator in dens:
+            if 2 * q <= 1 and q.denominator in dens:
                 out.add(q)
     return sorted(out)
 
@@ -312,111 +293,4 @@ def enumerate_vanishing(n: int, den_bound: DenSpec,
 
     rec(0, 0, 0.0, [])
     return [found[k] for k in sorted(found)]
-
-
-# ---------------------------------------------------------------------------
-# vanishing sums of roots of unity
-# ---------------------------------------------------------------------------
-
-def canonicalize_unity(t: Iterable) -> Phi:
-    """Lexicographically minimal rotation: subtract one element from all,
-    reduce mod 1 and sort; minimize over the choice of element."""
-    base = [(_frac(q)) % 1 for q in t]
-    best: Optional[Phi] = None
-    for ref in set(base):
-        cand = tuple(sorted((q - ref) % 1 for q in base))
-        if best is None or cand < best:
-            best = cand
-    return best
-
-
-def unity_sum(t: Iterable) -> Tuple[CosSum, CosSum]:
-    """Exact (real, imaginary) parts of sum_j exp(2*pi*i*phi_j)."""
-    re = cos2pi_sum(t)
-    # sin(2*pi*q) = cos(2*pi*(1/4 - q))
-    im = cos2pi_sum(Fraction(1, 4) - _frac(q) for q in t)
-    return re, im
-
-
-def is_vanishing_unity(t: Iterable) -> bool:
-    re, im = unity_sum(t)
-    return re.is_zero() and im.is_zero()
-
-
-def _unity_irreducible(t: Sequence[Fraction]) -> bool:
-    n = len(t)
-    vec = [(math.cos(2 * math.pi * float(q)), math.sin(2 * math.pi * float(q)))
-           for q in t]
-    for mask in range(1, 1 << n):
-        size = bin(mask).count("1")
-        if size > n // 2 or (2 * size == n and not mask & 1) or size == n:
-            continue
-        sx = sum(vec[i][0] for i in range(n) if mask >> i & 1)
-        sy = sum(vec[i][1] for i in range(n) if mask >> i & 1)
-        if sx * sx + sy * sy > 1e-14:
-            continue
-        sub = [t[i] for i in range(n) if mask >> i & 1]
-        if is_vanishing_unity(sub):
-            return False
-    return True
-
-
-def enumerate_unity_sums(n: int, den_bound: DenSpec,
-                         budget: int = 50_000_000) -> List[Phi]:
-    """Canonical irreducible vanishing sums of n roots of unity.
-
-    Rotation lets the first coordinate be 0; the rest are enumerated in
-    sorted order over [0, 1) with vector-norm pruning.
-    """
-    if not 2 <= n <= 6:
-        raise ValueError("n must be between 2 and 6")
-    vals = build_values(den_bound, upper=Fraction(1))
-    vals = [q for q in vals if q < 1]
-    m = len(vals)
-    cosv = [math.cos(2 * math.pi * float(q)) for q in vals]
-    sinv = [math.sin(2 * math.pi * float(q)) for q in vals]
-    angle_of = {q: i for i, q in enumerate(vals)}
-    nodes = 0
-    found: Set[Phi] = set()
-
-    def confirm(phis: Sequence[Fraction]) -> None:
-        t = [Fraction(0)] + list(phis)
-        if not _unity_irreducible(t):
-            return
-        if not is_vanishing_unity(t):
-            return
-        found.add(canonicalize_unity(t))
-
-    def rec(start: int, depth: int, sx: float, sy: float,
-            prefix: List[Fraction]) -> None:
-        nonlocal nodes
-        remaining = n - 1 - depth
-        norm = math.hypot(sx, sy)
-        if norm > remaining + _TOL:
-            return
-        if remaining == 0:
-            if norm <= _TOL:
-                confirm(prefix)
-            return
-        if remaining == 1:
-            if abs(norm - 1) > _TOL:
-                return
-            theta = math.atan2(-sy, -sx) / (2 * math.pi) % 1
-            cand = Fraction(theta).limit_denominator(
-                max(q.denominator for q in vals))
-            i = angle_of.get(cand % 1)
-            if i is not None and i >= start:
-                nodes += 1
-                confirm(prefix + [vals[i]])
-            return
-        for i in range(start, m):
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded(f"more than {budget} candidates")
-            prefix.append(vals[i])
-            rec(i, depth + 1, sx + cosv[i], sy + sinv[i], prefix)
-            prefix.pop()
-
-    rec(0, 0, 1.0, 0.0, [])  # the fixed first root contributes (1, 0)
-    return sorted(found)
 

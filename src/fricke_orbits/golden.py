@@ -21,7 +21,7 @@ from typing import Tuple
 
 from .trig_field import CosSum, cos_value, from_rational
 
-__all__ = ["GoldenRow", "GOLDEN_ROWS", "golden_row", "size_multiset"]
+__all__ = ["GoldenRow", "GOLDEN_ROWS", "golden_row"]
 
 
 def _C(num: int, den: int) -> CosSum:
@@ -128,6 +128,3 @@ def golden_row(idx: int) -> GoldenRow:
         raise ValueError("reference table out of order")
     return row
 
-
-def size_multiset() -> Tuple[int, ...]:
-    return tuple(sorted(r.size for r in GOLDEN_ROWS))

@@ -3,10 +3,9 @@
 A closed orbit induces a pseudograph on its points: each generator in
 {x, y, z} is an involution, so per color every vertex either carries a
 self-loop (fixed point) or is matched with exactly one partner.  This
-module reads that matching structure from a verified orbit record, checks the
-structural invariants the construction guarantees, decides whether the
-even-word subgroup still acts transitively, and renders deterministic
-DOT text with angle-triple vertex labels.
+module reads that matching structure from a verified orbit record,
+decides whether the even-word subgroup still acts transitively, and
+renders deterministic DOT text with angle-triple vertex labels.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fricke_action import COLORS, Point3, cosine_angle
-from .orbit_search import OrbitRecord, check_involutions, component_labels, verify_record
+from .orbit_search import OrbitRecord, component_labels, verify_record
 
 # DOT rendering constants: one fixed color per generator.
 DOT_COLORS = {"x": "red", "y": "green", "z": "blue"}
@@ -101,39 +100,6 @@ def bad_points(g: ColoredGraph) -> Tuple[int, ...]:
         if sum(1 for c in range(3) if g.matchings[c][i] == i) >= 2:
             out.append(i)
     return tuple(out)
-
-
-def check_invariants(g: ColoredGraph) -> None:
-    """Raise ValueError unless g has every structural property of orbit graphs.
-
-    Checked: each color is an involution; the graph is connected; no two
-    vertices are joined in more than one color; per color the non-loop
-    edge count is (vertices - self-loops)/2; and no simple cycle contains
-    exactly one edge of a given color.  The last reduces to a component
-    test: a cycle whose only c-edge is (u, v) is that edge plus a path of
-    other-colored edges, so u and v must sit in different components of
-    the two-color subgraph.
-    """
-
-    check_involutions(g.matchings, g.size)
-    if not is_connected(g):
-        raise ValueError("orbit graph must be connected")
-    seen_pairs: Dict[Tuple[int, int], str] = {}
-    for c, name in enumerate(COLORS):
-        loops = len(g.loops(c))
-        nonloop = [(i, j) for i, j in g.color_edges(c) if i != j]
-        if (g.size - loops) % 2 != 0 or len(nonloop) != (g.size - loops) // 2:
-            raise ValueError(f"color {name} edge count does not match matching")
-        for e in nonloop:
-            if e in seen_pairs:
-                raise ValueError(f"vertices {e} joined in both {seen_pairs[e]} and {name}")
-            seen_pairs[e] = name
-        labels = component_labels(g.matchings[:c] + g.matchings[c + 1:], g.size)
-        for i, j in nonloop:
-            if labels[i] == labels[j]:
-                raise ValueError(
-                    f"simple cycle with exactly one {name} edge through {(i, j)}"
-                )
 
 
 def cycle_count(g: ColoredGraph) -> int:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from itertools import chain, combinations_with_replacement
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,7 +73,6 @@ __all__ = [
     "close_orbit",
     "component_labels",
     "decode_config",
-    "enumerate_class",
     "full_search",
     "get_dictionaries",
     "get_search_tables",
@@ -285,21 +284,6 @@ def decode_config(cls: int, index: int, t: Optional[SearchTables] = None) -> Gen
     return GenConfig(
         cls, index, point, Omega(v["wx"], v["wy"], v["wz"], w4), (v["Xp"], v["Yp"], v["Zp"])
     )
-
-
-def enumerate_class(
-    cls: int, start: int = 0, stop: Optional[int] = None
-) -> Iterator[GenConfig]:
-    """Decoded configurations of one arena, in scan order."""
-
-    t = get_search_tables()
-    size = _kernels.class_size(cls, t.kernel)
-    if stop is None or stop > size:
-        stop = size
-    for idx in range(start, stop):
-        if cls == 1 and idx == t.kernel.skip1:
-            continue
-        yield decode_config(cls, idx, t)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,8 @@ This module evaluates that map (fricke_action.omega_of_traces) exactly
 and in floats, provides the cubic satisfied by xi = sum of p^2
 together with its closed-form roots, implements the
 standard Backlund transformations on theta and on the surface
-parameters, builds the shift operators that translate one theta
-coordinate by 2, and recovers all bounded-denominator theta tuples for
-a given parameter set by exhaustive search over cosine values.
+parameters, and recovers all bounded-denominator theta tuples for a
+given parameter set by exhaustive search over cosine values.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import Dict, List, NamedTuple, Sequence, Set, Tuple
 
 import numpy as np
 
-from .fricke_action import Omega, all_equivalences, equiv_transform, omega_of_traces
+from .fricke_action import Omega, omega_of_traces
 from .trig_field import CosSum, compare_tuples, cos_value, from_rational
 
 _HALF = Fraction(1, 2)
@@ -64,19 +63,6 @@ def omega_from_theta(t: Theta) -> Omega:
     """Exact surface parameters (wX, wY, wZ, w4) of a theta tuple."""
 
     return omega_of_traces(*p_of_theta(t))
-
-
-def omega_equivalent(a: Omega, b: Omega) -> bool:
-    """Same parameters up to coordinate permutations and even sign flips."""
-
-    if a.w4 != b.w4:
-        return False
-    zero3 = (from_rational(0),) * 3
-    for t in all_equivalences():
-        _, wa = equiv_transform(t, zero3, a)
-        if wa[:3] == b[:3]:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -192,30 +178,6 @@ def bt_omega(name: str, w: Omega) -> Omega:
     if name == "P_yz":
         return Omega(w.wx, w.wz, w.wy, w.w4)
     raise ValueError(f"unknown transformation {name!r}")
-
-
-# Words composed right to left; each translates one theta coordinate by 2.
-SHIFT_WORDS: Dict[str, Tuple[str, ...]] = {
-    "x": ("s_x", "s_delta") + ("s_y", "s_z", "s_inf", "s_delta") * 2,
-    "y": ("s_y", "s_delta") + ("s_x", "s_z", "s_inf", "s_delta") * 2,
-    "z": ("s_z", "s_delta") + ("s_x", "s_y", "s_inf", "s_delta") * 2,
-    "inf": ("s_inf", "s_delta") + ("s_x", "s_y", "s_z", "s_delta") * 2,
-}
-
-
-def shift_operator(nu: str, t: Theta) -> Theta:
-    """Translate theta_nu by 2 through the composed reflection word."""
-
-    if nu not in SHIFT_WORDS:
-        raise ValueError(f"unknown coordinate {nu!r}")
-    u = t
-    for name in reversed(SHIFT_WORDS[nu]):
-        u = apply_bt(name, u)
-    bump = {"x": 0, "y": 1, "z": 2, "inf": 3}[nu]
-    expected = Theta(*(q + 2 if i == bump else q for i, q in enumerate(t)))
-    if u != expected:
-        raise RuntimeError(f"shift word for {nu} produced {u}, not {expected}")
-    return u
 
 
 # ---------------------------------------------------------------------------

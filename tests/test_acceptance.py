@@ -8,6 +8,7 @@ recorded in the test suites of the individual modules.
 import random
 
 from fractions import Fraction
+from typing import Tuple
 
 from fricke_orbits.cli import render_search
 from fricke_orbits.cosine_sums import canonicalize, enumerate_vanishing
@@ -27,7 +28,7 @@ from fricke_orbits.fricke_action import (
     closed_form,
     _PAIRS,
 )
-from fricke_orbits.golden import GOLDEN_ROWS, golden_row, size_multiset
+from fricke_orbits.golden import GOLDEN_ROWS, golden_row
 from fricke_orbits.orbit_graphs import build_graph, lambda_orbit_count
 from fricke_orbits.orbit_search import (
     cayley_orbit,
@@ -58,6 +59,10 @@ from fricke_orbits.sl2_monodromy import (
 DIVISORS_60 = tuple(d for d in range(1, 61) if 60 % d == 0)
 
 FROZEN_COUNTERS = {1: 48_618_911, 2: 6_213_878, 3: 54_671_104, 4: 8_197_910}
+
+
+def size_multiset() -> Tuple[int, ...]:
+    return tuple(sorted(r.size for r in GOLDEN_ROWS))
 
 
 def _rand_value(rng):

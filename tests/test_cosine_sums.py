@@ -2,26 +2,37 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from typing import Iterable
 
 import pytest
 
 from fricke_orbits.cosine_sums import (
-    DIVISORS_OF_30,
-    DIVISORS_OF_60,
     BudgetExceeded,
+    PhiTuple,
     build_values,
     canonicalize,
-    canonicalize_unity,
-    classify,
-    enumerate_unity_sums,
+    cos2pi_sum,
     enumerate_vanishing,
     family_tag,
     is_irreducible,
-    is_vanishing,
-    is_vanishing_unity,
 )
 
 F = Fraction
+
+DIVISORS_OF_60 = tuple(d for d in range(1, 61) if 60 % d == 0)
+
+
+def is_vanishing(t: Iterable) -> bool:
+    return cos2pi_sum(t).is_zero()
+
+
+def classify(t: Iterable) -> PhiTuple:
+    c = canonicalize(t)
+    if not is_vanishing(c):
+        return PhiTuple(c, False, "other")
+    irr = is_irreducible(c)
+    return PhiTuple(c, irr, family_tag(c) if irr else "other")
+
 
 TRIPLES_60 = [
     (F(0), F(1, 3), F(1, 3)),
@@ -175,28 +186,3 @@ def test_budget():
     with pytest.raises(BudgetExceeded):
         enumerate_vanishing(6, DIVISORS_OF_60, budget=10)
 
-
-def test_unity_sums():
-    assert is_vanishing_unity((F(0), F(1, 2)))
-    assert is_vanishing_unity((F(0), F(1, 3), F(2, 3)))
-    assert not is_vanishing_unity((F(0), F(1, 5), F(2, 5)))
-
-    assert enumerate_unity_sums(2, DIVISORS_OF_30) == [(F(0), F(1, 2))]
-    assert enumerate_unity_sums(3, DIVISORS_OF_30) == [(F(0), F(1, 3),
-                                                        F(2, 3))]
-    assert enumerate_unity_sums(4, DIVISORS_OF_30) == []
-    assert enumerate_unity_sums(5, DIVISORS_OF_30) == [
-        (F(0), F(1, 5), F(2, 5), F(3, 5), F(4, 5))]
-    base = [F(-1, 6), F(1, 6), F(1, 5), F(2, 5), F(3, 5), F(4, 5)]
-    assert enumerate_unity_sums(6, DIVISORS_OF_30) == [canonicalize_unity(base)]
-
-
-def test_canonicalize_unity_rotation_invariance():
-    rng = random.Random(7)
-    base = [F(-1, 6), F(1, 6), F(1, 5), F(2, 5), F(3, 5), F(4, 5)]
-    c = canonicalize_unity(base)
-    for _ in range(20):
-        shift = F(rng.randint(0, 29), 30)
-        t = [q + shift for q in base]
-        rng.shuffle(t)
-        assert canonicalize_unity(t) == c

@@ -1,7 +1,7 @@
 """Every name a module under src/ or tests/ imports is used in that module,
-every private module-level name defined under src/ is read there, and
-every public upper-case constant defined under src/ is read under src/,
-tests/ or perfbench/.  Importing the package leaves mpmath unloaded.
+and every private module-level name defined under src/ is read there.
+Importing the package leaves mpmath unloaded.  Public names have their
+own check, in test_public_surface.py.
 
 Package __init__ modules re-export on purpose and are left out, as are
 names listed in a module's __all__ and __future__ imports.
@@ -125,20 +125,6 @@ def unread_private_names(sources: dict) -> list:
     )
 
 
-def unread_constants(sources: dict, readers: dict) -> list:
-    """(module, line, name) of each public upper-case module-level name in
-    sources that neither sources nor readers read, read as in
-    unread_private_names."""
-    trees = {mod: ast.parse(text) for mod, text in sources.items()}
-    read = _read_names([*trees.values(), *map(ast.parse, readers.values())])
-    return sorted(
-        (mod, line, name)
-        for mod, tree in trees.items()
-        for line, name in _module_level_names(tree)
-        if name.isupper() and not name.startswith("_") and name not in read
-    )
-
-
 def test_private_name_checker_flags_only_unread_names():
     sources = {
         "a": (
@@ -169,32 +155,6 @@ def test_no_unread_private_names():
         str(p.relative_to(ROOT)): p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))
     }
     assert unread_private_names(sources) == []
-
-
-def test_constant_checker_flags_only_unread_constants():
-    sources = {
-        "a": (
-            "LOCAL = 1\n"
-            "ATTR, UNREAD = 2, 3\n"
-            "IMPORTED: int = 4\n"
-            "_PRIVATE = 5\n"
-            "Mixed = 6\n"
-            "def f():\n"
-            "    INNER = 7\n"
-            "x = LOCAL\n"
-        ),
-    }
-    readers = {"t": "from a import IMPORTED\nimport a\na.ATTR\n"}
-    assert unread_constants(sources, readers) == [("a", 2, "UNREAD")]
-    assert unread_constants(sources, {}) == [("a", 2, "ATTR"), ("a", 2, "UNREAD"),
-                                             ("a", 3, "IMPORTED")]
-
-
-def test_no_unread_constants():
-    def texts(d):
-        return {str(p.relative_to(ROOT)): p.read_text() for p in sorted((ROOT / d).rglob("*.py"))}
-
-    assert unread_constants(texts("src"), {**texts("tests"), **texts("perfbench")}) == []
 
 
 def _run_src(code: str) -> subprocess.CompletedProcess:

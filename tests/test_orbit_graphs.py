@@ -1,16 +1,23 @@
 """Colored-graph construction, statistics, invariants, and DOT export."""
 
 import json
+from typing import Dict, Tuple
 
 import pytest
 
-from fricke_orbits.fricke_action import Omega, apply, make_omega, make_point, points_equal
+from fricke_orbits.fricke_action import (
+    COLORS,
+    Omega,
+    apply,
+    make_omega,
+    make_point,
+    points_equal,
+)
 from fricke_orbits.orbit_graphs import (
     ColoredGraph,
     angle_label,
     bad_points,
     build_graph,
-    check_invariants,
     cycle_count,
     export_dot,
     graph_stats,
@@ -18,7 +25,12 @@ from fricke_orbits.orbit_graphs import (
     lambda_orbit_count,
     point_labels,
 )
-from fricke_orbits.orbit_search import close_orbit, get_dictionaries
+from fricke_orbits.orbit_search import (
+    check_involutions,
+    close_orbit,
+    component_labels,
+    get_dictionaries,
+)
 from fricke_orbits.trig_field import cos_value, from_rational
 
 W5 = make_omega(0, 1, 1, 4)
@@ -27,6 +39,39 @@ P2 = make_point(0, 1, 1)
 P3 = make_point(0, 1, 0)
 P4 = make_point(0, 0, 0)
 P5 = make_point(0, 0, 1)
+
+
+def check_invariants(g: ColoredGraph) -> None:
+    """Raise ValueError unless g has every structural property of orbit graphs.
+
+    Checked: each color is an involution; the graph is connected; no two
+    vertices are joined in more than one color; per color the non-loop
+    edge count is (vertices - self-loops)/2; and no simple cycle contains
+    exactly one edge of a given color.  The last reduces to a component
+    test: a cycle whose only c-edge is (u, v) is that edge plus a path of
+    other-colored edges, so u and v must sit in different components of
+    the two-color subgraph.
+    """
+
+    check_involutions(g.matchings, g.size)
+    if not is_connected(g):
+        raise ValueError("orbit graph must be connected")
+    seen_pairs: Dict[Tuple[int, int], str] = {}
+    for c, name in enumerate(COLORS):
+        loops = len(g.loops(c))
+        nonloop = [(i, j) for i, j in g.color_edges(c) if i != j]
+        if (g.size - loops) % 2 != 0 or len(nonloop) != (g.size - loops) // 2:
+            raise ValueError(f"color {name} edge count does not match matching")
+        for e in nonloop:
+            if e in seen_pairs:
+                raise ValueError(f"vertices {e} joined in both {seen_pairs[e]} and {name}")
+            seen_pairs[e] = name
+        labels = component_labels(g.matchings[:c] + g.matchings[c + 1:], g.size)
+        for i, j in nonloop:
+            if labels[i] == labels[j]:
+                raise ValueError(
+                    f"simple cycle with exactly one {name} edge through {(i, j)}"
+                )
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@ import bisect
 import math
 import random
 from fractions import Fraction
+from typing import Iterator, Optional
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from fricke_orbits.fricke_action import (
 from fricke_orbits.orbit_search import (
     EPS,
     CapError,
+    GenConfig,
     OrbitRecord,
     _SIZE_TAG,
     _float_orbit_key,
@@ -29,7 +31,6 @@ from fricke_orbits.orbit_search import (
     classify_special,
     close_orbit,
     decode_config,
-    enumerate_class,
     full_search,
     get_dictionaries,
     get_search_tables,
@@ -103,6 +104,21 @@ def test_class_sizes_vs_counters():
     assert _kernels.class_size(1, KT) == class_counter(1) + 1
     for cls in (2, 3, 4):
         assert _kernels.class_size(cls, KT) == class_counter(cls)
+
+
+def enumerate_class(
+    cls: int, start: int = 0, stop: Optional[int] = None
+) -> Iterator[GenConfig]:
+    """Decoded configurations of one arena, in scan order."""
+
+    t = get_search_tables()
+    size = _kernels.class_size(cls, t.kernel)
+    if stop is None or stop > size:
+        stop = size
+    for idx in range(start, stop):
+        if cls == 1 and idx == t.kernel.skip1:
+            continue
+        yield decode_config(cls, idx, t)
 
 
 def test_enumerate_skips_duplicate_zero_seed():
@@ -694,10 +710,8 @@ def test_close_float_worked_example():
     (4, 500, 540),
     (4, 4_004_630, 4_004_700),
 ])
-def test_backend_parity(cls, start, stop):
+def test_scan_matches_per_seed_reference(cls, start, stop):
     # the numpy scan, the production path, against the per-seed reference
-    # (the name dates from the retired second backend; it is kept so the
-    # test ids stay the same)
     out = _kernels.scan_chunk(cls, start, stop, KT, EPS, "numpy")
     assert out == _per_seed_reference(cls, start, stop)
 
@@ -1388,6 +1402,40 @@ def test_float_rejections_match_exact_closure():
         rec = close_orbit(g.point, g.omega)
         assert rec is None
         checked += 1
+
+
+# the chunk each class is checked on: the first, and for class 4 the
+# fourth, the first of its chunks with more than one survivor of size > 4
+# (chunks 0-3 hold 0, 0, 1 and 13 of them)
+_ORACLE_CHUNK = {1: 0, 2: 0, 3: 0, 4: 3}
+
+
+@pytest.mark.parametrize("cls", [1, 2, 3, 4])
+def test_float_decisions_match_exact_closure_in_every_class(cls):
+    # every float survivor of size > 4 in the chunk, and 40 seeded ones of
+    # size <= 4, close exactly at their float size; 50 seeded seeds the
+    # scan rejected close to None (the class-1 seed the scan skips as a
+    # duplicate is not a rejection)
+    start = _ORACLE_CHUNK[cls] * _kernels.CHUNK
+    idxs, sizes, _, _, _ = _kernels.scan_chunk(
+        cls, start, start + _kernels.CHUNK, KT, EPS, "numpy")
+    rng = random.Random(22 + cls)
+    small = [(i, s) for i, s in zip(idxs, sizes) if s <= 4]
+    survivors = [(i, s) for i, s in zip(idxs, sizes) if s > 4]
+    survivors += rng.sample(small, min(40, len(small)))
+    for idx, fsz in survivors:
+        g = decode_config(cls, idx)
+        rec = close_orbit(g.point, g.omega, cap=2 * fsz + 8)
+        assert rec is not None and rec.size == fsz, (cls, idx)
+    kept = set(idxs) | {KT.skip1}
+    rejected = set()
+    while len(rejected) < 50:
+        idx = rng.randrange(start, start + _kernels.CHUNK)
+        if idx not in kept:
+            rejected.add(idx)
+    for idx in sorted(rejected):
+        g = decode_config(cls, idx)
+        assert close_orbit(g.point, g.omega) is None, (cls, idx)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ import math
 import random
 
 from fractions import Fraction
+from typing import Dict, Tuple
 
 import numpy as np
 import pytest
 
-from fricke_orbits.fricke_action import Omega
+from fricke_orbits.fricke_action import Omega, all_equivalences, equiv_transform
 from fricke_orbits.golden import golden_row
 from fricke_orbits.parameter_maps import (
     BT_NAMES,
@@ -18,10 +19,8 @@ from fricke_orbits.parameter_maps import (
     bt_omega,
     d4_related,
     make_theta,
-    omega_equivalent,
     omega_from_theta,
     p_of_theta,
-    shift_operator,
     theta_candidates_for_omega,
     xi_cubic,
     xi_root_check,
@@ -30,6 +29,43 @@ from fricke_orbits.parameter_maps import (
 from fricke_orbits.trig_field import cos_value, from_rational
 
 F = Fraction
+
+
+def omega_equivalent(a: Omega, b: Omega) -> bool:
+    """Same parameters up to coordinate permutations and even sign flips."""
+
+    if a.w4 != b.w4:
+        return False
+    zero3 = (from_rational(0),) * 3
+    for t in all_equivalences():
+        _, wa = equiv_transform(t, zero3, a)
+        if wa[:3] == b[:3]:
+            return True
+    return False
+
+
+# Words composed right to left; each translates one theta coordinate by 2.
+SHIFT_WORDS: Dict[str, Tuple[str, ...]] = {
+    "x": ("s_x", "s_delta") + ("s_y", "s_z", "s_inf", "s_delta") * 2,
+    "y": ("s_y", "s_delta") + ("s_x", "s_z", "s_inf", "s_delta") * 2,
+    "z": ("s_z", "s_delta") + ("s_x", "s_y", "s_inf", "s_delta") * 2,
+    "inf": ("s_inf", "s_delta") + ("s_x", "s_y", "s_z", "s_delta") * 2,
+}
+
+
+def shift_operator(nu: str, t: Theta) -> Theta:
+    """Translate theta_nu by 2 through the composed reflection word."""
+
+    if nu not in SHIFT_WORDS:
+        raise ValueError(f"unknown coordinate {nu!r}")
+    u = t
+    for name in reversed(SHIFT_WORDS[nu]):
+        u = apply_bt(name, u)
+    bump = {"x": 0, "y": 1, "z": 2, "inf": 3}[nu]
+    expected = Theta(*(q + 2 if i == bump else q for i, q in enumerate(t)))
+    if u != expected:
+        raise RuntimeError(f"shift word for {nu} produced {u}, not {expected}")
+    return u
 
 
 def _rand_theta(rng, den=12, span=48):
