@@ -169,12 +169,11 @@ def render_search(result: SearchResult, fmt: str = "text") -> str:
     if fmt == "csv":
         lines = ["index,size,wX,wY,wZ,fourMinusW4,repX,repY,repZ"]
         for i, rec in enumerate(result.records):
-            w = rec.omega
-            four = from_rational(4) - w.w4
-            rep = [angle_label(c) for c in rec.points[0]]
+            f = _orbit_fields(rec)
+            wx, wy, wz = (v["ring"] for v in f["omega"])
+            rep = ",".join(f["rep"])
             lines.append(
-                f"{i + 1},{rec.size},{cossum_to_str(w.wx)},{cossum_to_str(w.wy)},"
-                f"{cossum_to_str(w.wz)},{cossum_to_str(four)},{rep[0]},{rep[1]},{rep[2]}"
+                f"{i + 1},{f['size']},{wx},{wy},{wz},{f['fourMinusOmega4']['ring']},{rep}"
             )
         lines += [f"#{k},{v}" for k, v in _counter_items(result)]
         lines.append("#verified,yes")
@@ -187,13 +186,12 @@ def render_search(result: SearchResult, fmt: str = "text") -> str:
         "# " + " ".join(f"{k}={v}" for k, v in _counter_items(result)),
     ]
     for i, rec in enumerate(result.records):
-        w = rec.omega
-        four = from_rational(4) - w.w4
-        rep = ", ".join(angle_label(c) for c in rec.points[0])
+        f = _orbit_fields(rec)
+        wx, wy, wz = (v["ring"] for v in f["omega"])
+        rep = ", ".join(f["rep"])
         lines.append(
-            f"{i + 1:3d} {rec.size:3d}  "
-            f"wX={cossum_to_str(w.wx)} wY={cossum_to_str(w.wy)} wZ={cossum_to_str(w.wz)}  "
-            f"4-w4={cossum_to_str(four)}  rep=({rep})"
+            f"{i + 1:3d} {f['size']:3d}  wX={wx} wY={wy} wZ={wz}  "
+            f"4-w4={f['fourMinusOmega4']['ring']}  rep=({rep})"
         )
     return "\n".join(lines) + "\n"
 

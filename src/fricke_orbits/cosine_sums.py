@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Set, Tuple, Union
 
-from .trig_field import CosSum, cos_value, from_rational
+from .trig_field import CosSum, _fold, cos_value, from_rational
 
 Phi = Tuple[Fraction, ...]
 
@@ -42,8 +42,7 @@ def _frac(v) -> Fraction:
 
 def fold_half(q) -> Fraction:
     """Reduce an angle to [0, 1/2] using cos(2*pi*q) = cos(2*pi*(1-q))."""
-    q = _frac(q) % 1
-    return q if 2 * q <= 1 else 1 - q
+    return _fold(2 * _frac(q)) / 2
 
 
 def canonicalize(t: Iterable) -> Phi:

@@ -13,9 +13,10 @@ image is doubly fixed), giving roughly 1.2e8 seeds in total.
 Each seed is closed by repeatedly resolving missing neighbors until the
 graph closes, a value outside every admissible extension appears, or a
 size cap proves divergence.  The hot scan runs in floating point
-(_kernels); every surviving seed is then re-derived and closed again in
-exact arithmetic, deduplicated up to the 24 symmetries, and verified
-point by point on the surface before being reported.
+(_kernels); a surviving seed that lies in no orbit already closed, up to
+the 24 symmetries, is then re-derived and closed again in exact
+arithmetic, and each orbit is verified point by point on the surface
+before being reported.
 """
 
 from __future__ import annotations
@@ -291,8 +292,8 @@ def decode_config(cls: int, index: int, t: Optional[SearchTables] = None) -> Gen
 
 
 class ConsistencyError(RuntimeError):
-    """The pipeline contradicts itself: a float closure that does not
-    reproduce the scan, or a closed orbit the exact check rejects."""
+    """The pipeline contradicts itself: a survivor whose scan size is not
+    its orbit's exact size, or a closed orbit the exact check rejects."""
 
 
 class CapError(ConsistencyError):
@@ -554,27 +555,30 @@ class SearchResult:
     timings: Dict[str, float] = field(default_factory=dict)
 
 
-def _float_orbit_key(pc: np.ndarray, ws, w4: float) -> tuple:
-    """The least of the 24 symmetric images of a float orbit, each image
-    the tuple (w4, its w triple, its points sorted by (x, y, z)), on a 1e-6
-    grid; a boundary miss only costs a duplicate exact closure, never a
-    wrong table."""
+# the 24 symmetries as coordinate indices and signs, all_equivalences() order
+_PERM, _SIGN = np.array(all_equivalences()).transpose(1, 0, 2)
 
-    # the 24 symmetries as coordinate indices and signs, in
-    # all_equivalences() order; images[t, c] is coordinate c of every
-    # point under symmetry t
-    perm, sign = np.array(all_equivalences()).transpose(1, 0, 2)
+
+def _float_orbit_key(pc: np.ndarray, ws, w4: float) -> frozenset:
+    """Each point's least row (w4, w triple, point) over the 24 symmetries,
+    on a 1e-6 grid.  Symmetric orbits get equal keys, and distinct orbits
+    share no point, so a point with its parameters lies in a keyed orbit or
+    an image of it exactly when its one-point key's row is in that key; a
+    grid-boundary miss only costs a duplicate exact closure."""
+
     grid = np.rint(pc * 1e6).astype(np.int64)
-    n = grid.shape[1]
-    images = grid[perm] * sign[:, :, None]
-    order = np.lexsort((images[:, 2].ravel(), images[:, 1].ravel(), images[:, 0].ravel(),
-                        np.repeat(np.arange(len(images)), n)))
-    points = images.transpose(0, 2, 1).reshape(-1, 3)[order].reshape(len(images), 3 * n)
     wsi = np.rint(np.asarray(ws) * 1e6).astype(np.int64)
-    rows = np.column_stack([
-        np.full(len(images), round(w4 * 1e6)), wsi[perm] * sign, points,
-    ])
-    return tuple(min(rows.tolist()))
+    n = grid.shape[1]
+    # rows[t, :, i] is the w triple and point i under symmetry t
+    rows = np.concatenate([
+        np.repeat((wsi[_PERM] * _SIGN)[:, :, None], n, axis=2), grid[_PERM] * _SIGN[:, :, None],
+    ], axis=1)
+    # columns point-major, sorted by point, then row: each point's least
+    # row leads its run of 24
+    cols = rows.transpose(1, 2, 0).reshape(6, -1)
+    order = np.lexsort((*cols[::-1], np.repeat(np.arange(n), 24)))
+    w4i = round(w4 * 1e6)
+    return frozenset((w4i, *row) for row in cols[:, order[::24]].T.tolist())
 
 
 def _record_cmp(a: OrbitRecord, b: OrbitRecord) -> int:
@@ -622,14 +626,14 @@ def full_search(
     The result list is sorted by (size, canonical key) and is identical
     for every thread count: work is split into fixed chunks merged in
     index order, and all decisions downstream of the float scan are
-    exact.  Every record has the size of its float closure and passes
-    verify_record, or ConsistencyError is raised.  Arguments failing
-    check_search_args, and a backend other than None or "numpy", raise
-    ValueError before anything is scanned.
+    exact.  Every survivor of size > 4 has the exact size of its orbit and
+    every record passes verify_record, or ConsistencyError is raised.
+    Arguments failing check_search_args, and a backend other than None or
+    "numpy", raise ValueError before anything is scanned.
 
     timings holds the seconds of tables, scan.class1 to scan.class4 (each
-    summed over the class's chunks inside the workers), dedup, close (exact
-    closures and canonical keys) and verify.
+    summed over the class's chunks inside the workers), dedup (seed decode
+    and key lookup), close (exact closures, keys and the sort) and verify.
     """
 
     t0 = time.perf_counter()
@@ -673,30 +677,25 @@ def full_search(
                 else:
                     big.append((cls, int(i), int(s)))
 
+    # a survivor whose seed lies in an orbit already closed is only checked
+    # against that orbit's size; any other is closed exactly
     t = time.perf_counter()
-    seen = set()
-    cand: List[Tuple[int, int, int]] = []
-    for cls, idx, fsz in big:
-        X, Y, Z, wx, wy, wz, w4 = _kernels.decode_float(cls, idx, kt)
-        res, pc, _ = _kernels.close_float(
-            X, Y, Z, wx, wy, wz, kt.s4, eps, want_points=True
-        )
-        if res != fsz:
-            raise ConsistencyError(
-                f"float closure is not reproducible: class {cls} index {idx} "
-                f"closes at {res} points, the scan gave {fsz}"
-            )
-        key = _float_orbit_key(pc, (wx, wy, wz), w4)
-        if key in seen:
-            continue
-        seen.add(key)
-        cand.append((cls, idx, fsz))
-    timings["dedup"] = time.perf_counter() - t
-
-    t = time.perf_counter()
+    dedup = 0.0
+    seen: Dict[tuple, int] = {}  # float key row -> exact orbit size
     records: List[OrbitRecord] = []
-    junk = 0
-    for cls, idx, fsz in cand:
+    ncand = junk = 0
+    for cls, idx, fsz in big:
+        t1 = time.perf_counter()
+        X, Y, Z, wx, wy, wz, w4 = _kernels.decode_float(cls, idx, kt)
+        (row,) = _float_orbit_key(np.array([[X], [Y], [Z]]), (wx, wy, wz), w4)
+        known = seen.get(row)
+        dedup += time.perf_counter() - t1
+        if known is not None:
+            if known != fsz:
+                raise ConsistencyError(f"class {cls} index {idx} lies in a closed orbit "
+                                       f"of {known} points, the scan gave {fsz}")
+            continue
+        ncand += 1
         g = decode_config(cls, idx, tables)
         try:
             rec = close_orbit(
@@ -716,11 +715,15 @@ def full_search(
                 f"exact closure disagrees with the float closure: class {cls} "
                 f"index {idx} closes at {rec.size} points, the scan gave {fsz}"
             )
+        ws = [float(v) for v in rec.omega]
+        key = _float_orbit_key(np.array(rec.points, float).T, ws[:3], ws[3])
+        seen.update(dict.fromkeys(key, rec.size))
         if any(keys_equal(rec.canonical, r.canonical) for r in records):
             continue
         records.append(rec)
     records.sort(key=cmp_to_key(_record_cmp))
-    timings["close"] = time.perf_counter() - t
+    timings["dedup"] = dedup
+    timings["close"] = time.perf_counter() - t - dedup
 
     t = time.perf_counter()
     for rec in records:
@@ -739,7 +742,7 @@ def full_search(
         cayley_skips=ncay,
         cap_hits=ncap,
         survivors=sum(fam.values()) + len(big),
-        candidates=len(cand),
+        candidates=ncand,
         junk=junk,
         backend="numpy",
         threads=threads,

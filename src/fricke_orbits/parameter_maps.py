@@ -25,6 +25,7 @@ from typing import Dict, List, NamedTuple, Sequence, Set, Tuple
 
 import numpy as np
 
+from ._kernels import _ranges
 from .fricke_action import Omega, omega_of_traces
 from .trig_field import CosSum, compare_tuples, cos_value, from_rational
 
@@ -264,9 +265,7 @@ def theta_candidates_for_omega(w: Omega, den_bound: int = 30) -> List[Theta]:
         lo = np.searchsorted(sprod, targets - 1e-6)
         hi = np.searchsorted(sprod, targets + 1e-6)
         # the windows of all iz, concatenated: sorted positions lo[iz]..hi[iz]-1
-        counts = hi - lo
-        iz = np.repeat(np.arange(m), counts)
-        pos = np.arange(len(iz)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        iz, pos = _ranges(lo, hi)
         ix, iinf = np.divmod(order[pos], m)
         cw = omega_of_traces(pf[ix], pf[iy], pf[iz], pf[iinf])
         keep = ((np.abs(wyf - cw.wy) <= 1e-6) & (np.abs(wzf - cw.wz) <= 1e-6)

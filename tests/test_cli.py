@@ -233,16 +233,28 @@ def test_main_maps_cap_hits_and_junk_to_exit_3(monkeypatch, capsys, search_resul
     _assert_internal_failure(capsys, [command, "--threads", "1"])
 
 
-def test_main_maps_an_irreproducible_float_closure_to_exit_3(monkeypatch, capsys):
+def test_main_maps_a_survivor_of_a_closed_orbit_at_another_size_to_exit_3(
+        monkeypatch, capsys):
+    # a survivor lying in an orbit that is already closed is checked against
+    # that orbit's exact size: the scan reports one point more for the first
+    # survivor of size > 4 that is not the source of a record
     _first_blocks_only(monkeypatch)
-    close = _kernels.close_float
+    sources = {rec.source for rec in orbit_search.full_search(threads=1).records}
+    kt = orbit_search.get_search_tables().kernel
+    scan = _kernels.scan_chunk
+    target = next((cls, i) for cls in (1, 2, 3, 4)
+                  for i, s in zip(*scan(cls, 0, 1 << 17, kt, orbit_search.EPS, "numpy")[:2])
+                  if s > 4 and (cls, i) not in sources)
 
-    def one_point_more(*args, **kwargs):
-        size, *rest = close(*args, **kwargs)
-        return (size + 1, *rest)
+    def one_point_more(cls, *args):
+        idxs, sizes, *rest = scan(cls, *args)
+        return (idxs, [s + ((cls, i) == target) for i, s in zip(idxs, sizes)], *rest)
 
-    monkeypatch.setattr(_kernels, "close_float", one_point_more)
-    _assert_internal_failure(capsys, ["search", "--threads", "1"])
+    monkeypatch.setattr(_kernels, "scan_chunk", one_point_more)
+    assert main(["search", "--threads", "1"]) == 3
+    captured = capsys.readouterr()
+    assert "internal failure" in captured.err and "lies in a closed orbit" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_main_maps_an_exact_closure_of_another_size_to_exit_3(monkeypatch, capsys):

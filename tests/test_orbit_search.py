@@ -41,6 +41,8 @@ from fricke_orbits.golden import GOLDEN_ROWS
 from fricke_orbits.orbit_graphs import bad_points, build_graph
 from fricke_orbits.trig_field import cos_value, from_rational, match_dictionary
 
+from test_cli import _first_blocks_only
+
 D = get_dictionaries()
 T = get_search_tables()
 KT = T.kernel
@@ -1438,12 +1440,37 @@ def test_float_decisions_match_exact_closure_in_every_class(cls):
         assert close_orbit(g.point, g.omega) is None, (cls, idx)
 
 
+@pytest.mark.parametrize("cls", [1, 2, 3, 4])
+@pytest.mark.parametrize("where", ["first", "middle"])
+def test_float_cayley_seeds_are_refused_by_the_exact_closure(cls, where):
+    # every float Cayley seed of a block of 2^17 seeds, the class's first or
+    # the one holding its middle index: the scan counts each of them, and
+    # each has all four parameters exactly zero, which close_orbit refuses
+    block = 1 << 17
+    size = _kernels.class_size(cls, KT)
+    start = 0 if where == "first" else size // 2 // block * block
+    stop = min(size, start + block)
+    idx = np.arange(start, stop)
+    idx = idx[idx != KT.skip1]
+    cols = _kernels._Cols(zip(_kernels._SEED, _kernels._decode_vec(cls, idx, KT)))
+    cay = _kernels._cayley(cols, EPS)
+    if cls == 3:
+        # as the scan does, class 3 keeps only seeds with Zp in s1
+        cay &= KT.look1.near(cols["Zp"], EPS)
+    assert np.count_nonzero(cay) == _kernels.scan_chunk(cls, start, stop, KT, EPS, "numpy")[3]
+    for i in idx[cay].tolist():
+        g = decode_config(cls, i)
+        assert all(w.is_zero() for w in g.omega), (cls, i)
+        assert close_orbit(g.point, g.omega) is None
+
+
 # ---------------------------------------------------------------------------
 # float dedup key
 
 
 def _float_orbit_key_loop(pc, ws, w4):
-    """_float_orbit_key as it was written before its single sort: one
+    """The least of a float orbit's 24 symmetric images, each the tuple
+    (w4, its w triple, its points sorted by (x, y, z)) on a 1e-6 grid: one
     stack and one lexsort per symmetry, the least key tuple kept."""
 
     grid = np.rint(pc * 1e6).astype(np.int64)
@@ -1481,10 +1508,28 @@ def _float_orbits(golden_orbits):
 
 
 def test_float_orbit_key_matches_the_per_symmetry_loop(golden_orbits):
-    for pc, ws, w4 in _float_orbits(golden_orbits):
-        key = _float_orbit_key(pc, ws, w4)
-        assert key == _float_orbit_key_loop(pc, ws, w4)
-        assert all(type(v) is int for v in key)
+    # over the 45 reference orbits and their 24 images each, two keys are
+    # equal exactly when the least-image keys of the loop are: one class
+    # per orbit
+    orbits = _float_orbits(golden_orbits)[:45]
+    keys, loop_keys = [], []
+    for pc, ws, w4 in orbits:
+        for perm, signs in all_equivalences():
+            image = pc[list(perm)] * np.array(signs, float)[:, None]
+            tw = tuple(ws[perm[i]] * signs[i] for i in range(3))
+            keys.append(_float_orbit_key(image, tw, w4))
+            loop_keys.append(_float_orbit_key_loop(image, tw, w4))
+    assert len(set(keys)) == len(set(loop_keys)) == len(set(zip(keys, loop_keys))) == 45
+    assert all(len(row) == 7 and all(type(v) is int for v in row) for k in keys for row in k)
+    # each point's one-point key lies in its own orbit's key and in no other
+    owner = {}
+    for k, (pc, ws, w4) in enumerate(orbits):
+        for row in _float_orbit_key(pc, ws, w4):
+            assert owner.setdefault(row, k) == k
+    for k, (pc, ws, w4) in enumerate(orbits):
+        for i in range(pc.shape[1]):
+            (row,) = _float_orbit_key(pc[:, [i]], ws, w4)
+            assert owner.get(row) == k
 
 
 def test_float_orbit_key_is_invariant_under_the_24_symmetries(golden_orbits):
@@ -1494,6 +1539,30 @@ def test_float_orbit_key_is_invariant_under_the_24_symmetries(golden_orbits):
             image = pc[list(perm)] * np.array(signs, float)[:, None]
             tw = tuple(ws[perm[i]] * signs[i] for i in range(3))
             assert _float_orbit_key(image, tw, w4) == key
+
+
+def test_full_search_closes_the_candidates_of_the_least_image_dedup(monkeypatch):
+    # on the first 2^17 seeds of each class, the survivors full_search
+    # closes exactly are those the dedup it replaced kept: each size > 4
+    # survivor re-closed in float and kept unless the least of its 24
+    # images was seen before
+    seen, cand = set(), []
+    for cls in (1, 2, 3, 4):
+        idxs, sizes, _, _, _ = _kernels.scan_chunk(cls, 0, 1 << 17, KT, EPS, "numpy")
+        for idx, fsz in zip(idxs, sizes):
+            if fsz <= 4:
+                continue
+            X, Y, Z, wx, wy, wz, w4 = _kernels.decode_float(cls, idx, KT)
+            res, pc, _ = _kernels.close_float(X, Y, Z, wx, wy, wz, KT.s4, EPS, want_points=True)
+            assert res == fsz
+            key = _float_orbit_key_loop(pc, (wx, wy, wz), w4)
+            if key not in seen:
+                seen.add(key)
+                cand.append((cls, idx))
+    _first_blocks_only(monkeypatch)
+    res = full_search(threads=1)
+    assert res.candidates == len(cand) == len(res.records) == 11
+    assert sorted(rec.source for rec in res.records) == cand
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ ALLOWED = {
     "backend_name": "perfbench/worker.py records the backend",
     "class_counter": "criterion 03's frozen counters (test_orbit_search) and perfbench/inputs.py",
     "classify_special": "the exact oracle of the float-size family tally (test_orbit_search)",
+    "close_float": "perfbench workloads.py and freeze.py re-close seeds; test_orbit_search runs its worked example",
     "closed_form": "criterion 06c checks the suborbit closed forms",
     "golden_match": "perfbench workloads.py, freeze.py, spans.py and run.py match the 45 rows",
     "make_point": "criteria 04 and 08 build their points",
