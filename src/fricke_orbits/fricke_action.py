@@ -66,14 +66,17 @@ COLORS = "xyz"
 def _tame(v: CosSum) -> CosSum:
     # iterated moves multiply coordinates, so representations can swell
     # until their float evaluation drifts; collapse a value with a
-    # coefficient above 1024 or more terms than max(6, phi(2L)), L its
-    # level.  A normal form has at most phi(2L) terms, so a collapse on the
-    # term count never adds any (one on a large coefficient can); a
-    # few-term value at a high level is kept, since its normal form is far
-    # denser (2cos(pi/3080) alone has 177 terms there)
-    n = len(v.terms)
+    # coefficient m/q whose lowest terms have a numerator or denominator
+    # above 1024, read off the value's integer numerators m over its
+    # common denominator q by g = gcd(m, q), or with more terms than
+    # max(6, phi(2L)), L its level.  A normal form has at most phi(2L)
+    # terms, so a collapse on the term count never adds any (one on a
+    # large coefficient can); a few-term value at a high level is kept,
+    # since its normal form is far denser (2cos(pi/3080) alone has 177
+    # terms there)
+    n, q = len(v._t), v._q
     if (n > 6 and n > totient(2 * level_of(v))) or any(
-        abs(c.numerator) > 1024 or c.denominator > 1024 for _, c in v.terms
+        abs(m) // g > 1024 or q // g > 1024 for _, m in v._t for g in (math.gcd(m, q),)
     ):
         return v.reduced()
     return v

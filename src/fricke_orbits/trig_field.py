@@ -5,14 +5,23 @@ parameters, dictionary entries) lives in this ring.  A value is stored as a
 finite Q-linear combination of terms 2cos(pi*num/den); the product rule
 2cosA*2cosB = 2cos(A+B) + 2cos(A-B) keeps the ring closed.
 
-Terms are canonical: each key (num, den) is an angle folded into [0, 1] in
-lowest terms, (1, 2) never occurs since 2cos(pi/2) = 0, no coefficient is
-zero, and the terms are sorted by key.  Only the public constructor folds
-raw input; every operation that starts from canonical terms keeps the
-keys canonical with integer arithmetic alone.  A product puts both angles
-over L = lcm(den1, den2), adds and subtracts the integer numerators, folds
-each result k mod 2L into [0, L] by k -> 2L - k, and reduces k/L by one
-gcd; its coefficients are summed as integers over one common denominator.
+The coefficients are integers over one common denominator, as a rational
+vector is kept in computer-algebra kernels (FLINT's fmpq_poly): a value
+holds _t, a tuple of ((num, den), m) with m a nonzero int, and _q > 0 with
+gcd(_q, *m) == 1, and term (num, den) has coefficient m / _q.  That form
+is unique, so two values have the same terms exactly when their (_t, _q)
+agree, and _q is the least common denominator of the coefficients.  The
+terms view builds the Fraction coefficients, for printing and readers
+outside the ring; no operation builds one.  Terms are canonical: each key
+(num, den) is an angle folded into [0, 1] in lowest terms, (1, 2) never
+occurs since 2cos(pi/2) = 0, and the terms are sorted by key.  Only the
+public constructor folds raw input; every operation that starts from
+canonical terms keeps the keys canonical with integer arithmetic alone.
+A sum brings both numerator vectors over lcm(_q1, _q2); a product puts
+both angles over L = lcm(den1, den2), adds and subtracts the integer
+numerators, folds each result k mod 2L into [0, L] by k -> 2L - k, reduces
+k/L by one gcd, and sums the numerator products over _q1 * _q2.  Every
+result is divided by the gcd of its numerators and denominator once.
 
 The term basis is NOT linearly independent (2cos(pi/5) - 2cos(2pi/5) = 1), so
 structural comparison is meaningless.  Equality is decided exactly: is_zero
@@ -68,9 +77,11 @@ The remainder is computed without a dense division by Phi_n:
   (dtype=object) the first time the bound cannot be proved.
 
 Doubles are a fast path only, under one proven bound.  A value caches
-_float, the double sum over its terms of c * 2.0 * cos(pi*num/den).  With
-u = 2**-53, one term's error is at most 2u|c| times 1 (the correctly
-rounded c.numerator / c.denominator) + 3pi (math.pi*num/den rounds three
+_float, the double sum over its terms of m / q * 2.0 * cos(pi*num/den),
+c = m / q.  With u = 2**-53, one term's error is at most 2u|c| times 1
+(m / q: Python's int true division is correctly rounded, so it is the
+double nearest c, the same double as float(c) for the reduced Fraction
+c) + 3pi (math.pi*num/den rounds three
 times; num, den < 2**53 convert exactly) + 2 (libm's cos, ASSUMED within 1
 ulp, glibc's documented bound: the one assumption) + 1 (the product),
 below 2u|c|*13.5.  Recursive summation from 0.0 adds (n - 1)*u times the
@@ -115,13 +126,9 @@ def _fold(fr: Fraction) -> Fraction:
     return Fraction(*_fold_int(fr.numerator, fr.denominator))
 
 
-def _common_den(terms) -> int:
-    """Least common denominator of the coefficients of canonical terms."""
-    return math.lcm(*{c.denominator for _, c in terms})
-
-
-def _normalize_terms(raw: Mapping) -> Dict[Tuple[int, int], Fraction]:
-    """Merge raw constructor input into a term map with canonical keys."""
+def _normalize_terms(raw: Mapping) -> Tuple[Dict[Tuple[int, int], int], int]:
+    """Merge raw constructor input into integer numerators on canonical
+    keys over their least common denominator."""
     acc: Dict[Tuple[int, int], Fraction] = {}
     for key, coeff in raw.items():
         c = Fraction(coeff)
@@ -130,49 +137,62 @@ def _normalize_terms(raw: Mapping) -> Dict[Tuple[int, int], Fraction]:
         fr = Fraction(*key) if isinstance(key, tuple) else Fraction(key)
         pair = _fold_int(fr.numerator, fr.denominator)
         acc[pair] = acc.get(pair, Fraction(0)) + c
-    return acc
+    q = math.lcm(*(c.denominator for c in acc.values()))
+    return {k: c.numerator * (q // c.denominator) for k, c in acc.items()}, q
 
 
 class CosSum:
-    """Immutable element of the cosine ring: sum of coeff * 2cos(pi*num/den).
+    """Immutable element of the cosine ring: sum of (m / q) * 2cos(pi*num/den).
 
-    ``terms`` is a sorted tuple of ((num, den), coeff) pairs.  Each key is an
-    angle folded into [0, 1] in lowest terms, (1, 2) never occurs
-    (2cos(pi/2) = 0), and every coefficient is a nonzero Fraction.  Sums,
-    negation and rational scaling keep keys canonical, so they only merge
-    coefficients.  A product of terms num1/den1 and num2/den2 works on
-    integer angles over L = lcm(den1, den2): with g = gcd(den1, den2),
-    a = num1*(den2/g) and b = num2*(den1/g), each of (a +- b) mod 2L is
-    folded by k -> 2L - k when k > L and reduced by one gcd(k, L).  Its
-    coefficients are summed as integers over the product of the two
-    factors' common denominators, one Fraction per resulting key.
+    ``_t`` is a sorted tuple of ((num, den), m) pairs, m a nonzero int, and
+    ``_q`` the positive common denominator, with gcd(_q, *m) == 1.  Each key
+    is an angle folded into [0, 1] in lowest terms and (1, 2) never occurs
+    (2cos(pi/2) = 0).  Sums, negation and rational scaling keep keys
+    canonical, so they only merge numerators over a common denominator.  A
+    product of terms num1/den1 and num2/den2 works on integer angles over
+    L = lcm(den1, den2): with g = gcd(den1, den2), a = num1*(den2/g) and
+    b = num2*(den1/g), each of (a +- b) mod 2L is folded by k -> 2L - k when
+    k > L and reduced by one gcd(k, L); the numerator products are summed
+    per key over the product of the two denominators.  ``terms`` is the
+    read-only view with Fraction coefficients m / q.
 
     Not hashable on purpose: equal values can have different term dictionaries,
     so callers dedup through float buckets plus exact confirmation.
     """
 
-    __slots__ = ("terms", "_float")
+    __slots__ = ("_t", "_q", "_float")
     __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, raw: Mapping = ()):  # raw: {(num, den) | rational: coeff}
-        self._finish(_normalize_terms(dict(raw)))
+        self._finish(*_normalize_terms(dict(raw)))
 
     @classmethod
-    def _canon(cls, acc: Dict[Tuple[int, int], Fraction]) -> "CosSum":
-        """Build from a term map whose keys are already canonical; the map
-        is consumed."""
+    def _canon(cls, acc: Dict[Tuple[int, int], int], q: int) -> "CosSum":
+        """Build from integer numerators on canonical keys over the positive
+        denominator q; the map is consumed."""
         out = object.__new__(cls)
-        out._finish(acc)
+        out._finish(acc, q)
         return out
 
-    def _finish(self, acc: Dict[Tuple[int, int], Fraction]) -> None:
+    def _finish(self, acc: Dict[Tuple[int, int], int], q: int) -> None:
         acc.pop((1, 2), None)
-        terms = tuple(sorted(kc for kc in acc.items() if kc[1]))
-        object.__setattr__(self, "terms", terms)
+        t = tuple(sorted(kc for kc in acc.items() if kc[1]))
+        g = math.gcd(q, *acc.values())
+        if g > 1:
+            t = tuple((k, m // g) for k, m in t)
+            q //= g
+        object.__setattr__(self, "_t", t)
+        object.__setattr__(self, "_q", q)
         f = 0.0
-        for (num, den), c in terms:
-            f += c.numerator / c.denominator * 2.0 * math.cos(math.pi * num / den)
+        for (num, den), m in t:
+            f += m / q * 2.0 * math.cos(math.pi * num / den)
         object.__setattr__(self, "_float", f)
+
+    @property
+    def terms(self) -> Tuple[Tuple[Tuple[int, int], Fraction], ...]:
+        """The sorted ((num, den), coeff) pairs, each coeff a nonzero Fraction."""
+        q = self._q
+        return tuple((k, Fraction(m, q)) for k, m in self._t)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("CosSum is immutable")
@@ -186,28 +206,32 @@ class CosSum:
             return from_rational(other)
         return None
 
+    def _plus(self, o: "CosSum", sign: int) -> "CosSum":
+        """self + sign*o, both numerator vectors over lcm(_q, o._q)."""
+        q1, q2 = self._q, o._q
+        q = q1 if q1 == q2 else math.lcm(q1, q2)
+        s1, s2 = q // q1, sign * (q // q2)
+        acc = dict(self._t) if s1 == 1 else {k: m * s1 for k, m in self._t}
+        for k, m in o._t:
+            acc[k] = acc.get(k, 0) + m * s2
+        return CosSum._canon(acc, q)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        acc = dict(self.terms)
-        for k, c in o.terms:
-            acc[k] = acc[k] + c if k in acc else c
-        return CosSum._canon(acc)
+        return self._plus(o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CosSum._canon({k: -c for k, c in self.terms})
+        return CosSum._canon({k: -m for k, m in self._t}, self._q)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        acc = dict(self.terms)
-        for k, c in o.terms:
-            acc[k] = acc[k] - c if k in acc else -c
-        return CosSum._canon(acc)
+        return self._plus(o, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -217,19 +241,14 @@ class CosSum:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return CosSum._canon({k: v * c for k, v in self.terms})
+            n = other.numerator
+            return CosSum._canon({k: m * n for k, m in self._t}, self._q * other.denominator)
         if not isinstance(other, CosSum):
             return NotImplemented
-        # coefficients as integers over one denominator per factor, so the
-        # products accumulate as ints and become Fractions once per key
-        q1, q2 = _common_den(self.terms), _common_den(other.terms)
-        right = [(n2, d2, c2.numerator * (q2 // c2.denominator))
-                 for (n2, d2), c2 in other.terms]
+        right = [(n2, d2, m2) for (n2, d2), m2 in other._t]
         acc: Dict[Tuple[int, int], int] = {}
         gcd = math.gcd
-        for (n1, d1), c1 in self.terms:
-            m1 = c1.numerator * (q1 // c1.denominator)
+        for (n1, d1), m1 in self._t:
             for n2, d2, m2 in right:
                 g = gcd(d1, d2)
                 level = d1 // g * d2
@@ -238,8 +257,7 @@ class CosSum:
                 m = m1 * m2
                 for key in (_fold_int(a + b, level), _fold_int(a - b, level)):
                     acc[key] = acc.get(key, 0) + m
-        q = q1 * q2
-        return CosSum._canon({k: Fraction(m, q) for k, m in acc.items()})
+        return CosSum._canon(acc, self._q * other._q)
 
     __rmul__ = __mul__
 
@@ -257,10 +275,12 @@ class CosSum:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
+            n, d = other.numerator, other.denominator
+            if n == 0:
                 raise ZeroDivisionError("CosSum division by zero")
-            return CosSum._canon({k: v / c for k, v in self.terms})
+            if n < 0:
+                n, d = -n, -d
+            return CosSum._canon({k: m * d for k, m in self._t}, self._q * n)
         if not isinstance(other, CosSum):
             return NotImplemented
         q = other.as_rational()
@@ -278,18 +298,18 @@ class CosSum:
 
     def as_rational(self) -> Optional[Fraction]:
         """Fraction value if the stored representation is visibly rational."""
-        if not self.terms:
+        if not self._t:
             return Fraction(0)
-        if len(self.terms) == 1:
-            (num, den), c = self.terms[0]
+        if len(self._t) == 1:
+            (num, den), m = self._t[0]
             if den == 1:
-                return 2 * c if num == 0 else -2 * c
+                return Fraction(2 * m if num == 0 else -2 * m, self._q)
         return None
 
     def is_zero(self) -> bool:
         """Exact: separated from 0 on floats (the bound and its libm
         assumption are in the module docstring), else the normal form."""
-        return not self.terms or (
+        return not self._t or (
             not separated(self, _ZERO) and to_cyclotomic(self).is_zero())
 
     def __eq__(self, other):
@@ -298,7 +318,7 @@ class CosSum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.terms == o.terms:
+        if self._t == o._t and self._q == o._q:
             return True
         return not separated(self, o) and (self - o).is_zero()
 
@@ -333,7 +353,7 @@ class CosSum:
         for u in range(3, level, 2):
             if math.gcd(u, level) == 1:
                 rest = rest * CosSum._canon(
-                    {_fold_int(num * u, den): c for (num, den), c in self.terms})
+                    {_fold_int(num * u, den): m for (num, den), m in self._t}, self._q)
         return (rest / (self * rest).reduced().as_rational()).reduced()
 
     def reduced(self) -> "CosSum":
@@ -401,7 +421,7 @@ def totient(n: int) -> int:
 def level_of(a: CosSum) -> int:
     """The level L of a value: the lcm of its term denominators, so that
     its terms live in Q(zeta) for a primitive 2L-th root of unity zeta."""
-    return math.lcm(*{den for (_, den), _ in a.terms})
+    return math.lcm(*{den for (_, den), _ in a._t})
 
 
 # Every intermediate of the int64 division stays below this, so neither a
@@ -483,8 +503,8 @@ def _stretch(poly: Sequence[int], s: int) -> list:
 def to_cyclotomic(a: CosSum) -> CyclotomicElement:
     """Embed at level L = lcm of denominators and reduce mod Phi_{2L}.
 
-    Each term c*2cos(pi*k/L) adds c at exponents k and -k modulo n = 2L,
-    summed as integers over the common denominator of the coefficients.
+    Each term (m/q)*2cos(pi*k/L) adds m at exponents k and -k modulo n = 2L,
+    summed as integers over the value's common denominator q.
     With r = rad(n) and s = n / r, Phi_n(x) = Phi_r(x^s), so the exponents
     split by residue class j mod s: class j holds the polynomial g_j with
     f(x) = sum_j x^j g_j(x^s), and coefficient i of g_j mod Phi_r lands at
@@ -506,17 +526,16 @@ def to_cyclotomic(a: CosSum) -> CyclotomicElement:
     the same normal form as a dense division by Phi_n, entry for entry.
     At most two arrays of s*r entries are live at a time.
     """
-    if not a.terms:
+    if not a._t:
         return CyclotomicElement(1, (0,), 1)
     level = level_of(a)
     n = 2 * level
-    common = _common_den(a.terms)
+    common = a._q
     exps: Dict[int, int] = {}
-    for (num, den), c in a.terms:
+    for (num, den), m in a._t:
         k = num * (level // den)
-        v = c.numerator * (common // c.denominator)
         for e in (k % n, -k % n):
-            exps[e] = exps.get(e, 0) + v
+            exps[e] = exps.get(e, 0) + m
     primes = _primes(n)
     r = math.prod(primes)
     s = n // r
@@ -552,14 +571,13 @@ def to_cyclotomic(a: CosSum) -> CyclotomicElement:
 def _symmetrize(numer: Sequence[int], common: int, level: int) -> CosSum:
     """Rebuild a CosSum from a power-basis vector numer / common known to
     represent a real value: sum c_k zeta^k = sum (c_k/2) * 2cos(pi*k/level).
-    Numerators are summed as integers per key, one Fraction per key."""
+    Numerators are summed as integers per key, over 2 * common."""
     acc: Dict[Tuple[int, int], int] = {}
     for k, x in enumerate(numer):
         if x:
             key = _fold_int(k, level)
             acc[key] = acc.get(key, 0) + x
-    common *= 2
-    return CosSum._canon({k: Fraction(x, common) for k, x in acc.items()})
+    return CosSum._canon(acc, 2 * common)
 
 
 # -- module-level operations (the public vocabulary) ---------------------------
@@ -571,12 +589,12 @@ _ZERO = CosSum()
 def cos_value(r, den: int = None) -> CosSum:
     """The ring element 2cos(pi*r)."""
     fr = Fraction(r) if den is None else Fraction(r, den)
-    return CosSum._canon({_fold_int(fr.numerator, fr.denominator): Fraction(1)})
+    return CosSum._canon({_fold_int(fr.numerator, fr.denominator): 1}, 1)
 
 
 def from_rational(q: Rational) -> CosSum:
     """The ring element q."""
-    return CosSum._canon({(0, 1): Fraction(q) / 2})
+    return CosSum._canon({(0, 1): q.numerator}, 2 * q.denominator)
 
 
 def match_dictionary(v: float, floats: Sequence[float], eps: float = 1e-8) -> Optional[int]:
@@ -593,11 +611,13 @@ def match_dictionary(v: float, floats: Sequence[float], eps: float = 1e-8) -> Op
 
 def float_error(v: CosSum) -> float:
     """A bound on |v._float - v|: 2**-52 * (len(v.terms) + 16) * sum|c|,
-    derived in the module docstring from _finish's operation order."""
+    derived in the module docstring from _finish's operation order; each
+    |c| is the double abs(m / q), as _finish rounds it."""
+    q = v._q
     mass = 0.0
-    for _, c in v.terms:
-        mass += abs(c.numerator / c.denominator)
-    return 2.0 ** -52 * (len(v.terms) + 16) * mass
+    for _, m in v._t:
+        mass += abs(m / q)
+    return 2.0 ** -52 * (len(v._t) + 16) * mass
 
 
 def separated(a: CosSum, b: CosSum) -> bool:

@@ -1464,6 +1464,36 @@ def test_float_cayley_seeds_are_refused_by_the_exact_closure(cls, where):
         assert close_orbit(g.point, g.omega) is None
 
 
+def test_prefix_stage_keeps_a_cayley_prefix_its_checks_drop():
+    # the class-1 seed (X, Y, Z) = (2cos(pi/10), 2cos(pi/5), -2cos(3pi/10))
+    # lies on the Cayley cubic: Xp = 0, Yp = 2cos(2pi/5) and Zp = -2cos(pi/10)
+    # put every weight at 0.  With -2cos(pi/5) left out of s4, ay = -Y is
+    # neither a value nor a link, and the fixed-point equation the prefix
+    # stage keeps, 2*Xp + ay*Z = wx, misses by |Y*Z| = 1.9: only the Cayley
+    # exemption keeps the prefix (Xp, Yp), and the scan then counts the seed
+    def entry(d, angle):
+        return d[np.argmin(np.abs(d - 2.0 * math.cos(math.pi * Fraction(angle))))]
+
+    s1 = np.array(sorted(entry(KT.s1, a) for a in ("1/2", "2/5", "9/10")))
+    s4 = KT.s4[KT.s4 != entry(KT.s4, "4/5")]
+    assert len(s4) == len(KT.s4) - 1
+    seed = tuple(np.array([entry(KT.s1, a)]) for a in ("1/10", "1/5", "7/10"))
+    t = _kernels.ScanTables(s1, s4, {1: seed}, -1)
+    radix = len(s1)
+    pref = np.arange(radix * radix)
+    cay = int(np.flatnonzero(s1 == entry(s1, "1/2"))[0]) * radix + int(
+        np.flatnonzero(s1 == entry(s1, "2/5"))[0])
+    cols = _kernels._Cols(zip(_kernels._SEED, _kernels._decode_vec(1, pref * radix, t)))
+    assert not _kernels._check(cols, "ay", t.look4, EPS, "wz")[cay]
+    assert abs(2.0 * cols["Xp"][cay] + cols["ay"][cay] * cols["Z"][cay] - cols["wx"][cay]) > 1.9
+    assert _kernels._prefix_keep(1, pref, radix, t, EPS)[cay]
+    idx = np.arange(_kernels.class_size(1, t))
+    cols = _kernels._Cols(zip(_kernels._SEED, _kernels._decode_vec(1, idx, t)))
+    ncay = int(np.count_nonzero(_kernels._cayley(cols, EPS)))
+    assert ncay == 1
+    assert _kernels.scan_chunk(1, 0, len(idx), t, EPS, "numpy")[3] == ncay
+
+
 # ---------------------------------------------------------------------------
 # float dedup key
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fricke_orbits import fricke_action, trig_field
-from fricke_orbits.orbit_search import get_dictionaries
+from fricke_orbits.orbit_search import decode_config, get_dictionaries, get_search_tables
 from fricke_orbits.trig_field import (
     CosSum,
     compare,
@@ -881,3 +881,124 @@ def test_float_error_bounds_adversarial_sums():
         worst_count = max(worst_count, err / (2.0 ** -52 * 16 * mass))
         worst_mass = max(worst_mass, err / (2.0 ** -52 * (len(v.terms) + 16)))
     assert worst_count > 1 and worst_mass > 1
+
+
+# ---------------------------------------------------------------------------
+# the representation: integer numerators over one common denominator
+# ---------------------------------------------------------------------------
+# A value holds _t, sorted ((num, den), m) with m a nonzero int, and _q > 0
+# with gcd(_q, *m) == 1; terms is the Fraction view.  The references below
+# evaluate the module docstring's float expressions over that view, with
+# each coefficient as c.numerator / c.denominator.
+
+
+def _class4_values_at_level(level):
+    """Seed point, parameters and primes decode_config gives for the first
+    class-4 index whose values have level `level`."""
+    t = get_search_tables()
+    levels = [trig_field.level_of(e.value) for e in t.dicts.s4]
+    for row, tri in enumerate(t.tri4.tolist()):
+        base = math.lcm(*(levels[i] for i in tri))
+        for ixp, lv in enumerate(levels):
+            if level % base == 0 and math.lcm(base, lv) == level:
+                g = decode_config(4, row * len(levels) + ixp)
+                assert max(trig_field.level_of(v) for v in g.point) <= level
+                return [*g.point, *g.omega, *g.primes]
+    raise AssertionError(level)
+
+
+def _representation_pool(golden_records):
+    """The seeded pool of test_term_arithmetic_matches_fraction_reference,
+    its sums, products and rational multiples, the coordinates and
+    parameters of the 45 golden orbits, and decoded values at levels 2520
+    and 3080."""
+    rng = random.Random(3080)
+    pool = [CosSum(_raw_terms(rng)) for _ in range(60)]
+    pool += [cos_value(1, 4), cos_value(1, 3), cos_value(2, 3), cos_value(1, 1),
+             cos_value(3, 4) * Fraction(-7, 3), cos_value(1, 5) - cos_value(2, 5), CosSum()]
+    pool += [op(a, b) for a, b in zip(pool, pool[1:])
+             for op in (CosSum.__add__, CosSum.__sub__, CosSum.__mul__)]
+    pool += [a * Fraction(-9, 14) for a in pool[:60]] + [a / Fraction(-4, 3) for a in pool[:60]]
+    pool += [v for rec in golden_records for p in rec.points for v in p]
+    pool += [w for rec in golden_records for w in rec.omega]
+    pool += _class4_values_at_level(2520) + _class4_values_at_level(3080)
+    return pool
+
+
+def _float_over_terms(terms):
+    f = 0.0
+    for (num, den), c in terms:
+        f += c.numerator / c.denominator * 2.0 * math.cos(math.pi * num / den)
+    return f
+
+
+def _float_error_over_terms(terms):
+    mass = 0.0
+    for _, c in terms:
+        mass += abs(c.numerator / c.denominator)
+    return 2.0 ** -52 * (len(terms) + 16) * mass
+
+
+def test_values_hold_integer_numerators_over_one_denominator(golden_records):
+    pool = _representation_pool(golden_records)
+    assert {trig_field.level_of(v) for v in pool} >= {2520, 3080}
+    for v in pool:
+        keys = [k for k, _ in v._t]
+        assert type(v._q) is int and v._q > 0
+        assert math.gcd(v._q, *(m for _, m in v._t)) == 1
+        assert keys == sorted(set(keys)) and (1, 2) not in keys
+        assert all(type(m) is int and m != 0 for _, m in v._t)
+        assert all(0 <= num <= den and math.gcd(num, den) == 1 for num, den in keys)
+        assert v.terms == tuple((k, Fraction(m, v._q)) for k, m in v._t)
+        # _q is the least common denominator of the Fraction coefficients
+        assert v._q == math.lcm(*(c.denominator for _, c in v.terms))
+
+
+def test_float_and_its_bound_match_the_fraction_expressions(golden_records):
+    # m / q and c.numerator / c.denominator are the same correctly rounded
+    # double, also for coefficients past the range of a double's mantissa
+    pool = _representation_pool(golden_records) + [
+        CosSum({(1, 5): Fraction(10 ** 30 + 1, 7), (2, 7): Fraction(1, 3 ** 700)}),
+        CosSum({(1, 9): Fraction(-2 ** 80, 3 ** 40), (1, 1): Fraction(7 ** 400, 3 ** 400 + 1)}),
+        CosSum({(k, 2520): Fraction(k, 2 ** 60 + k) for k in range(1, 40)}),
+    ]
+    for v in pool:
+        assert v._float.hex() == _float_over_terms(v.terms).hex()
+        assert float_error(v).hex() == _float_error_over_terms(v.terms).hex()
+
+
+def _tame_collapses_by_fractions(v):
+    """Whether _tame collapses v, decided on the Fraction coefficients."""
+    n = len(v.terms)
+    return (n > 6 and n > trig_field.totient(2 * trig_field.level_of(v))) or any(
+        abs(c.numerator) > 1024 or c.denominator > 1024 for _, c in v.terms)
+
+
+def test_tame_decides_on_coefficients_in_lowest_terms(golden_records):
+    rng = random.Random(1024)
+    piles = [(cos_value(1, 5) - cos_value(2, 5)) * 2000]
+    piles += [r + (a - r) * 2000
+              for level in (5, 15, 105, 770)
+              for a in _values_at_level(rng, level, 3, (2, 6)) for r in [a.reduced()]]
+    assert all(any(abs(c.numerator) > 1024 for _, c in p.terms) for p in piles)
+    # at the edges: a numerator or denominator of 1024 is kept and 1025
+    # collapses; an integer numerator above 1024 over the common
+    # denominator is kept when the coefficient in lowest terms is small
+    edges = [
+        CosSum({(1, 5): 1024, (1, 7): Fraction(-1, 1024)}),
+        CosSum({(1, 5): 1000, (2, 7): Fraction(1, 3)}),
+        CosSum({(1, 5): Fraction(1023, 1024), (2, 7): Fraction(1, 3)}),
+        CosSum({(1, 5): 1025}),
+        CosSum({(1, 5): Fraction(1, 1025)}),
+        CosSum({(1, 5): Fraction(-1025, 1024), (1, 7): 3}),
+    ]
+    assert edges[1]._t[0][1] == 3000
+    decided = []
+    for v in _representation_pool(golden_records) + piles + edges:
+        want = _tame_collapses_by_fractions(v)
+        out = fricke_action._tame(v)
+        assert (out is not v) == want
+        assert out.terms == (v.reduced().terms if want else v.terms)
+        decided.append(want)
+    assert decided[-6:] == [False, False, False, True, True, True]
+    assert all(decided[-6 - len(piles):-6])
